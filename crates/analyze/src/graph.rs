@@ -3,10 +3,12 @@
 //! A neutral, dependency-free description of a layer graph
 //! ([`LayerSpec`] / [`ModelSpec`]) plus a dataflow pass
 //! ([`validate_model`]) that propagates shapes symbolically — no tensor is
-//! ever allocated. `autolearn-nn` converts its live layer objects into
-//! these specs (via `Layer::spec`) and calls the validator before any
-//! training step runs; `autolearn-core`'s pipeline does the same from the
-//! model *plan* before even building the model.
+//! ever allocated. The same specs carry the shape, parameter and FLOP
+//! arithmetic. `autolearn-nn` builds its zoo models *from* a validated
+//! plan (`Sequential::from_specs`), describes its live layers back as specs
+//! (via `Layer::spec`) and calls the validator before any training step
+//! runs; `autolearn-core`'s pipeline validates the plan before even
+//! building the model.
 //!
 //! The pass detects:
 //!
@@ -15,7 +17,7 @@
 //!   input, a pooled dimension collapsing to 0),
 //! * dead layers (no-op dropout, linear activation mid-chain, flatten of
 //!   an already-flat tensor) — reported as warnings,
-//! * parameter-count drift against the zoo's declared expectations,
+//! * parameter-count or feature-width drift against declared totals,
 //! * train-only layers (Dropout / BatchNorm) that are misconfigured or
 //!   placed where they would corrupt inference (e.g. dropout as the last
 //!   layer of a head).
@@ -23,8 +25,8 @@
 use std::fmt;
 
 /// Symbolic description of a single layer. Mirrors the layer set of
-/// `autolearn-nn` but carries only the hyper-parameters needed for shape
-/// and parameter arithmetic.
+/// `autolearn-nn` and carries exactly the hyper-parameters needed to
+/// instantiate a layer and to do its shape, parameter and FLOP arithmetic.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LayerSpec {
     /// Fully connected `[B, input] -> [B, output]`.
@@ -128,6 +130,52 @@ impl LayerSpec {
             | LayerSpec::Flatten
             | LayerSpec::Dropout { .. } => 0,
         }
+    }
+
+    /// Floating-point operations for one *example*'s forward pass through
+    /// this layer at `input` (batch dim included, but the count does not
+    /// scale with it), or the shape error [`LayerSpec::output_shape`]
+    /// reports. A multiply-accumulate is 2 FLOPs; the analytic GPU model in
+    /// `autolearn-cloud` charges these.
+    pub fn flops(&self, input: &[usize]) -> Result<u64, String> {
+        let out = self.output_shape(input)?;
+        let per_example = |shape: &[usize]| shape.iter().skip(1).product::<usize>() as u64;
+        Ok(match self {
+            // Multiply-accumulate plus bias add.
+            LayerSpec::Dense { input, output } => (2 * input * output + output) as u64,
+            // One transcendental ≈ a handful of flops; count 4 per element.
+            LayerSpec::Activation { .. } => 4 * per_example(input),
+            // 2 flops per MAC over every output element's receptive field.
+            LayerSpec::Conv2D {
+                in_channels,
+                kernel,
+                ..
+            } => 2 * (in_channels * kernel * kernel) as u64 * per_example(&out),
+            LayerSpec::Conv3D {
+                in_channels,
+                kernel_t,
+                kernel,
+                ..
+            } => 2 * (in_channels * kernel_t * kernel * kernel) as u64 * per_example(&out),
+            // One comparison (pool) or mask multiply (dropout) per element.
+            LayerSpec::MaxPool2D { .. } | LayerSpec::Dropout { .. } => per_example(input),
+            LayerSpec::Flatten => 0,
+            LayerSpec::BatchNorm1d { features } => (8 * features) as u64,
+            // Per step: x·W (2·F·4H) + h·U (2·H·4H) + gate math (~10·H).
+            LayerSpec::Lstm {
+                input: f,
+                hidden: h,
+            } => {
+                let (t, f, h) = (input[1] as u64, *f as u64, *h as u64);
+                t * (2 * f * 4 * h + 2 * h * 4 * h + 10 * h)
+            }
+            LayerSpec::TimeDistributed { inner } => {
+                let mut merged = vec![input[0] * input[1]];
+                merged.extend_from_slice(&input[2..]);
+                input[1] as u64 * inner.flops(&merged)?
+            }
+            LayerSpec::Chain(layers) => chain_flops(layers, input)?.0,
+        })
     }
 
     /// Symbolic shape propagation: the output shape this layer produces
@@ -260,6 +308,17 @@ impl LayerSpec {
     }
 }
 
+/// FLOPs and output shape of a chain of layers fed `input`.
+fn chain_flops(layers: &[LayerSpec], input: &[usize]) -> Result<(u64, Vec<usize>), String> {
+    let mut shape = input.to_vec();
+    let mut total = 0;
+    for layer in layers {
+        total += layer.flops(&shape)?;
+        shape = layer.output_shape(&shape)?;
+    }
+    Ok((total, shape))
+}
+
 fn rank2_features(input: &[usize], who: &str) -> Result<usize, String> {
     if input.len() != 2 {
         return Err(format!(
@@ -317,6 +376,25 @@ impl ModelSpec {
                 .flat_map(|(_, ls)| ls.iter())
                 .map(LayerSpec::param_count)
                 .sum::<u64>()
+    }
+
+    /// FLOPs for one single-example inference: trunk, merge (fed the trunk
+    /// features plus the auxiliary vector) and every head, or the first
+    /// shape error met on the way.
+    pub fn total_flops(&self) -> Result<u64, String> {
+        let (trunk, mut feat) = chain_flops(&self.layers, &self.input)?;
+        if let Some(aux) = self.aux_width {
+            match feat.as_mut_slice() {
+                [_, width] => *width += aux,
+                _ => return Err(format!("trunk must end in [B, F] to concat, got {feat:?}")),
+            }
+        }
+        let (merge, feat) = chain_flops(&self.merge, &feat)?;
+        let mut total = trunk + merge;
+        for (_, head) in &self.heads {
+            total += chain_flops(head, &feat)?.0;
+        }
+        Ok(total)
     }
 }
 
@@ -813,6 +891,62 @@ mod tests {
         spec.declared_feature_dim = Some(32);
         let report = validate_model(&spec).expect("concat graph valid");
         assert_eq!(report.feature_dim, 32);
+    }
+
+    #[test]
+    fn total_flops_walks_trunk_concat_merge_and_heads() {
+        let mut spec = simple_spec(
+            vec![
+                dense(8, 64),
+                LayerSpec::Activation {
+                    kind: "relu".into(),
+                },
+            ],
+            vec![
+                ("s".to_string(), vec![dense(32, 1)]),
+                ("t".to_string(), vec![dense(32, 2)]),
+            ],
+        );
+        spec.aux_width = Some(8);
+        spec.merge = vec![dense(72, 32)];
+        // Trunk dense + relu, merge dense, then the two heads.
+        let expected =
+            (2 * 8 * 64 + 64) + 4 * 64 + (2 * 72 * 32 + 32) + (2 * 32 + 1) + (2 * 32 * 2 + 2);
+        assert_eq!(spec.total_flops(), Ok(expected));
+        // Without the concat the merge's Dense(72->32) cannot take 64.
+        spec.aux_width = None;
+        assert!(spec.total_flops().is_err());
+    }
+
+    #[test]
+    fn layer_flops_follow_output_shapes() {
+        let conv = LayerSpec::Conv2D {
+            in_channels: 2,
+            filters: 4,
+            kernel: 3,
+            stride: 2,
+        };
+        // 4 filters x 3x3 output, 2 * (2*3*3) flops each.
+        assert_eq!(conv.flops(&[5, 2, 7, 7]), Ok(4 * 9 * 2 * 18));
+        assert!(conv
+            .flops(&[1, 2, 2, 2])
+            .unwrap_err()
+            .contains("smaller than kernel"));
+        let lstm = LayerSpec::Lstm {
+            input: 4,
+            hidden: 3,
+        };
+        assert_eq!(
+            lstm.flops(&[1, 5, 4]),
+            Ok(5 * (2 * 4 * 12 + 2 * 3 * 12 + 30))
+        );
+        let td = LayerSpec::TimeDistributed {
+            inner: Box::new(LayerSpec::Chain(vec![LayerSpec::Flatten, dense(6, 2)])),
+        };
+        assert_eq!(td.flops(&[1, 3, 2, 3]), Ok(3 * (2 * 6 * 2 + 2)));
+        for free in [LayerSpec::Flatten, LayerSpec::Chain(Vec::new())] {
+            assert_eq!(free.flops(&[1, 4, 4]), Ok(0));
+        }
     }
 
     #[test]

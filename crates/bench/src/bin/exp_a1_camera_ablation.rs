@@ -125,7 +125,7 @@ fn main() {
         let mut tmp = net.params_mut();
         tmp.iter_mut().map(|p| p.value.len()).sum()
     };
-    let oracle_flops = net.flops_per_example(&[1, 4]);
+    let oracle_flops = net.spec().flops(&[1, 4]).unwrap_or(0);
 
     let mut sim = Simulation::new(
         track.clone(),

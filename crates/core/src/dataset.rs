@@ -35,18 +35,22 @@ pub fn image_to_input(image: &Image, cfg: &ModelConfig) -> Tensor {
 /// image are skipped). Use `autolearn_nn::models::prepare_dataset` to adapt
 /// the result to sequence/memory models.
 pub fn records_to_dataset(records: &[Record], cfg: &ModelConfig) -> Dataset {
-    let mut frames = Vec::with_capacity(records.len());
-    let mut steering = Vec::with_capacity(records.len());
-    let mut throttle = Vec::with_capacity(records.len());
+    let n = records.iter().filter(|r| r.image.is_some()).count();
+    assert!(n > 0, "no records with images");
+    // Each frame is written straight into the one `[N, C, H, W]` buffer.
+    let frame = [cfg.channels, cfg.height, cfg.width];
+    let mut data = Vec::with_capacity(n * frame.iter().product::<usize>());
+    let mut steering = Vec::with_capacity(n);
+    let mut throttle = Vec::with_capacity(n);
     for r in records {
         if let Some(img) = &r.image {
-            frames.push(image_to_input(img, cfg));
+            data.extend_from_slice(image_to_input(img, cfg).data());
             steering.push(r.steering);
             throttle.push(r.throttle);
         }
     }
-    assert!(!frames.is_empty(), "no records with images");
-    Dataset::new(Tensor::stack(&frames), steering, throttle)
+    let input = Tensor::from_vec(&[n, frame[0], frame[1], frame[2]], data);
+    Dataset::new(input, steering, throttle)
 }
 
 /// Mirror augmentation: append a horizontally-flipped copy of every record
@@ -133,6 +137,19 @@ mod tests {
         assert_eq!(d.len(), 10);
         assert_eq!(d.inputs()[0].shape(), &[10, 1, 30, 40]);
         assert!((d.steering()[3] - 0.1).abs() < 1e-6);
+    }
+
+    #[test]
+    fn dataset_is_the_stacked_frame_inputs() {
+        let mut records: Vec<Record> =
+            (0..6).map(|i| record_with_gradient(i, 80, 60, 3)).collect();
+        records[4].image = None;
+        let d = records_to_dataset(&records, &cfg());
+        let frames: Vec<Tensor> = records
+            .iter()
+            .filter_map(|r| r.image.as_ref().map(|img| image_to_input(img, &cfg())))
+            .collect();
+        assert_eq!(d.inputs()[0], Tensor::stack(&frames));
     }
 
     #[test]

@@ -36,14 +36,16 @@ use autolearn_cloud::provision::ProvisioningPlan;
 use autolearn_cloud::reservation::{ReservationError, ReservationSystem};
 use autolearn_edge::container::{ContainerRuntime, ImageSpec};
 use autolearn_net::{transfer_time, Path, ResumableTransfer, TransferSpec};
-use autolearn_nn::models::{prepare_dataset, CarModel, DonkeyModel, ModelConfig, ModelKind};
+use autolearn_nn::models::{
+    prepare_dataset, CarModel, DonkeyModel, InputSpec, ModelConfig, ModelKind,
+};
 use autolearn_nn::{
     format_contract_errors, format_errors, standard_stages, validate_pipeline, ContractError,
-    ContractReport, DType, FrameContract, GraphError, TrainConfig, TrainReport, Trainer,
+    ContractReport, DType, Dataset, FrameContract, GraphError, TrainConfig, TrainReport, Trainer,
 };
 use autolearn_sim::{CarConfig, DriveConfig, Simulation};
 use autolearn_track::Track;
-use autolearn_tub::{CleanConfig, TubCleaner};
+use autolearn_tub::{CleanConfig, Record, TubCleaner};
 use autolearn_obs::{attr, AttrValue, Obs, Trace};
 use autolearn_util::fault::{FaultPlan, InjectedFault};
 use autolearn_util::{derive_seed, Bytes, Epochs, RetryPolicy, SimDuration, SimTime};
@@ -375,6 +377,40 @@ fn retry_stage<T>(
     }
 }
 
+/// The cleaned records as a dataset in the model's input layout, or a
+/// failed train stage when fewer than the two examples [`Trainer::fit`]
+/// splits into train and validation sets would remain.
+fn training_set(
+    records: &[Record],
+    cfg: &ModelConfig,
+    spec: InputSpec,
+) -> Result<Dataset, PipelineError> {
+    let frames = records.iter().filter(|r| r.image.is_some()).count();
+    let examples = match spec {
+        // One example per full window of `t` frames.
+        InputSpec::Sequence(t) => (frames + 1).saturating_sub(t),
+        InputSpec::Frames | InputSpec::FramesWithHistory(_) => frames,
+    };
+    if examples < 2 {
+        return Err(PipelineError::StageFailed {
+            stage: "train".to_string(),
+            attempts: 1,
+            last_error: format!(
+                "{examples} training examples from {frames} framed records after clean; \
+                 training needs at least 2"
+            ),
+        });
+    }
+    let dataset = records_to_dataset(records, cfg);
+    Ok(match spec {
+        // A frame model trains on the frame dataset itself, not a copy.
+        InputSpec::Frames => dataset,
+        InputSpec::Sequence(_) | InputSpec::FramesWithHistory(_) => {
+            prepare_dataset(&dataset, spec)
+        }
+    })
+}
+
 /// GPUs to fall back to when `preferred` has no capacity: every kind with
 /// strictly lower sustained throughput, best first — degraded runs get
 /// *slower*, never faster, so recovery always costs simulated time.
@@ -653,7 +689,7 @@ impl Pipeline {
         // completed epoch boundary.
         let train_span = obs.begin_span("train");
         let mut model = CarModel::build(cfg.model_kind, &cfg.model);
-        let data = prepare_dataset(&records_to_dataset(&records, &cfg.model), model.input_spec());
+        let data = training_set(&records, &cfg.model, model.input_spec())?;
         let trainer = Trainer::new(cfg.train.clone());
         let train_report = trainer
             .fit_observed(&mut model, &data, obs)
@@ -993,6 +1029,52 @@ mod tests {
         }
         // K80 is the floor: nothing to fall back to.
         assert_eq!(fallback_chain(GpuKind::K80).len(), 1);
+    }
+
+    #[test]
+    fn tiny_tub_fails_the_train_stage_instead_of_panicking() {
+        let mut cfg = quick_config(5);
+        cfg.collection.duration_s = 0.0;
+        match Pipeline::new(circle_track(3.0, 0.8), cfg).run() {
+            Err(PipelineError::StageFailed {
+                stage, last_error, ..
+            }) => {
+                assert_eq!(stage, "train");
+                assert!(last_error.contains("at least 2"), "{last_error}");
+            }
+            Err(other) => panic!("expected a failed train stage, got {other}"),
+            Ok(_) => panic!("an empty tub cannot train a model"),
+        }
+    }
+
+    #[test]
+    fn training_set_needs_two_examples_per_layout() {
+        let cfg = ModelConfig::default();
+        let records = |n: usize| -> Vec<Record> {
+            (0..n)
+                .map(|i| {
+                    let img = autolearn_util::Image::new(16, 12, 3);
+                    Record::new(i as u64, 0.0, 0.5, i as u64 * 50, img)
+                })
+                .collect()
+        };
+        let failed = |r: Result<Dataset, PipelineError>| {
+            matches!(r, Err(PipelineError::StageFailed { ref stage, .. }) if stage == "train")
+        };
+        for spec in [InputSpec::Frames, InputSpec::FramesWithHistory(4)] {
+            assert!(failed(training_set(&records(1), &cfg, spec)));
+            assert_eq!(
+                training_set(&records(2), &cfg, spec).map(|d| d.len()).ok(),
+                Some(2)
+            );
+        }
+        let seq = InputSpec::Sequence(3);
+        assert!(failed(training_set(&records(0), &cfg, seq)));
+        assert!(failed(training_set(&records(3), &cfg, seq)));
+        assert_eq!(
+            training_set(&records(4), &cfg, seq).map(|d| d.len()).ok(),
+            Some(2)
+        );
     }
 
     #[test]

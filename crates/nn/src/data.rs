@@ -87,31 +87,52 @@ impl Dataset {
 
     /// Deterministic shuffled train/validation split.
     pub fn split(&self, train_frac: f64, seed: u64) -> (Dataset, Dataset) {
+        let (train, val) = self.split_indices(train_frac, seed);
+        (self.subset(&train), self.subset(&val))
+    }
+
+    /// The example indices of [`Dataset::split`]'s train and validation
+    /// sets, without copying any example.
+    pub fn split_indices(&self, train_frac: f64, seed: u64) -> (Vec<usize>, Vec<usize>) {
         assert!((0.0..=1.0).contains(&train_frac));
         let mut idx: Vec<usize> = (0..self.len()).collect();
         idx.shuffle(&mut rng_from_seed(seed));
         // cast: rounded fraction of a usize length is non-negative and fits.
         let cut = (self.len() as f64 * train_frac).round() as usize;
-        (self.subset(&idx[..cut]), self.subset(&idx[cut..]))
+        let val = idx.split_off(cut);
+        (idx, val)
     }
 
     /// Minibatches, optionally shuffled. The final short batch is kept.
     pub fn batches(&self, batch_size: usize, shuffle: bool, seed: u64) -> Vec<Batch> {
+        let all: Vec<usize> = (0..self.len()).collect();
+        self.batches_of(&all, batch_size, shuffle, seed).collect()
+    }
+
+    /// The minibatches [`Dataset::batches`] would give for the dataset
+    /// `self.subset(idx)`, each gathered only when the iterator reaches it.
+    pub fn batches_of<'a>(
+        &'a self,
+        idx: &[usize],
+        batch_size: usize,
+        shuffle: bool,
+        seed: u64,
+    ) -> impl Iterator<Item = Batch> + 'a {
         assert!(batch_size > 0);
-        let mut idx: Vec<usize> = (0..self.len()).collect();
+        let mut order = idx.to_vec();
         if shuffle {
-            idx.shuffle(&mut rng_from_seed(seed));
+            order.shuffle(&mut rng_from_seed(seed));
         }
-        idx.chunks(batch_size)
-            .map(|chunk| {
-                let sub = self.subset(chunk);
-                Batch {
-                    inputs: sub.inputs,
-                    steering: sub.steering,
-                    throttle: sub.throttle,
-                }
-            })
-            .collect()
+        let batches = order.len().div_ceil(batch_size);
+        (0..batches).map(move |b| {
+            let chunk = &order[b * batch_size..order.len().min((b + 1) * batch_size)];
+            let sub = self.subset(chunk);
+            Batch {
+                inputs: sub.inputs,
+                steering: sub.steering,
+                throttle: sub.throttle,
+            }
+        })
     }
 
     /// Convert a frame dataset `[N, C, H, W]` into overlapping sequences
@@ -220,6 +241,27 @@ mod tests {
         let bs = d.batches(2, false, 0);
         assert_eq!(bs[0].steering, &d.steering()[0..2]);
         assert_eq!(bs[2].steering, &d.steering()[4..5]);
+    }
+
+    #[test]
+    fn indexed_split_and_batches_match_the_copied_ones() {
+        let d = toy(23);
+        let (train, val) = d.split(0.8, 9);
+        let (train_idx, val_idx) = d.split_indices(0.8, 9);
+        assert_eq!(train_idx.len() + val_idx.len(), 23);
+        for (set, idx) in [(&train, &train_idx), (&val, &val_idx)] {
+            for shuffle in [false, true] {
+                let copied = set.batches(4, shuffle, 5);
+                let indexed: Vec<Batch> = d.batches_of(idx, 4, shuffle, 5).collect();
+                assert_eq!(copied.len(), indexed.len());
+                for (a, b) in copied.iter().zip(&indexed) {
+                    assert_eq!(a.inputs[0].data(), b.inputs[0].data());
+                    assert_eq!(a.steering, b.steering);
+                    assert_eq!(a.throttle, b.throttle);
+                }
+            }
+        }
+        assert_eq!(d.batches_of(&[], 4, true, 0).count(), 0);
     }
 
     #[test]

@@ -128,14 +128,6 @@ impl Layer for BatchNorm1d {
         vec![&mut self.gamma, &mut self.beta]
     }
 
-    fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
-        input_shape.to_vec()
-    }
-
-    fn flops_per_example(&self, _input_shape: &[usize]) -> u64 {
-        (8 * self.features) as u64
-    }
-
     fn name(&self) -> String {
         format!("BatchNorm1d({})", self.features)
     }

@@ -154,17 +154,6 @@ impl Layer for Conv2D {
         vec![&mut self.w, &mut self.b]
     }
 
-    fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
-        let (oh, ow) = self.out_hw(input_shape[2], input_shape[3]);
-        vec![input_shape[0], self.filters, oh, ow]
-    }
-
-    fn flops_per_example(&self, input_shape: &[usize]) -> u64 {
-        let (oh, ow) = self.out_hw(input_shape[2], input_shape[3]);
-        // 2 flops per MAC over every output element's receptive field.
-        (2 * self.filters * self.in_ch * self.k * self.k * oh * ow) as u64
-    }
-
     fn scratch_bytes(&self) -> usize {
         self.scratch.bytes()
     }
@@ -223,7 +212,10 @@ mod tests {
     fn stride_reduces_output() {
         let mut rng = rng_from_seed(3);
         let conv = Conv2D::new(3, 8, 3, 2, &mut rng);
-        assert_eq!(conv.output_shape(&[2, 3, 11, 15]), vec![2, 8, 5, 7]);
+        assert_eq!(
+            conv.spec().output_shape(&[2, 3, 11, 15]),
+            Ok(vec![2, 8, 5, 7])
+        );
     }
 
     #[test]
@@ -240,7 +232,7 @@ mod tests {
         let mut rng = rng_from_seed(5);
         let conv = Conv2D::new(1, 1, 2, 1, &mut rng);
         // 2x2 output, 2x2 kernel, 1 channel: 2*1*1*4*4 = 32.
-        assert_eq!(conv.flops_per_example(&[1, 1, 3, 3]), 32);
+        assert_eq!(conv.spec().flops(&[1, 1, 3, 3]), Ok(32));
     }
 
     #[test]

@@ -162,16 +162,6 @@ impl Layer for Conv3D {
         vec![&mut self.w, &mut self.b]
     }
 
-    fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
-        let (ot, oh, ow) = self.out_dims(input_shape[2], input_shape[3], input_shape[4]);
-        vec![input_shape[0], self.filters, ot, oh, ow]
-    }
-
-    fn flops_per_example(&self, input_shape: &[usize]) -> u64 {
-        let (ot, oh, ow) = self.out_dims(input_shape[2], input_shape[3], input_shape[4]);
-        (2 * self.filters * self.in_ch * self.kt * self.k * self.k * ot * oh * ow) as u64
-    }
-
     fn scratch_bytes(&self) -> usize {
         self.scratch.bytes()
     }
@@ -205,7 +195,10 @@ mod tests {
     fn output_dims() {
         let mut rng = rng_from_seed(1);
         let conv = Conv3D::new(1, 4, 2, 3, 1, 2, &mut rng);
-        assert_eq!(conv.output_shape(&[2, 1, 3, 9, 9]), vec![2, 4, 2, 4, 4]);
+        assert_eq!(
+            conv.spec().output_shape(&[2, 1, 3, 9, 9]),
+            Ok(vec![2, 4, 2, 4, 4])
+        );
     }
 
     #[test]

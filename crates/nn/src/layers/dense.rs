@@ -109,15 +109,6 @@ impl Layer for Dense {
         vec![&mut self.w, &mut self.b]
     }
 
-    fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
-        vec![input_shape[0], self.out_dim]
-    }
-
-    fn flops_per_example(&self, _input_shape: &[usize]) -> u64 {
-        // multiply-accumulate = 2 flops, plus bias add.
-        (2 * self.in_dim * self.out_dim + self.out_dim) as u64
-    }
-
     fn scratch_bytes(&self) -> usize {
         self.cache_x
             .as_ref()
@@ -188,8 +179,8 @@ mod tests {
         let mut rng = rng_from_seed(4);
         let mut d = Dense::new(10, 5, &mut rng);
         assert_eq!(d.param_count(), 10 * 5 + 5);
-        assert_eq!(d.flops_per_example(&[1, 10]), 2 * 10 * 5 + 5);
-        assert_eq!(d.output_shape(&[7, 10]), vec![7, 5]);
+        assert_eq!(d.spec().flops(&[1, 10]), Ok(2 * 10 * 5 + 5));
+        assert_eq!(d.spec().output_shape(&[7, 10]), Ok(vec![7, 5]));
     }
 
     #[test]

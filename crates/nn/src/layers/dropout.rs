@@ -59,14 +59,6 @@ impl Layer for Dropout {
         }
     }
 
-    fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
-        input_shape.to_vec()
-    }
-
-    fn flops_per_example(&self, input_shape: &[usize]) -> u64 {
-        input_shape[1..].iter().product::<usize>() as u64
-    }
-
     fn name(&self) -> String {
         format!("Dropout({})", self.p)
     }

@@ -32,14 +32,6 @@ impl Layer for Flatten {
         grad_out.reshape(&self.cache_in_shape)
     }
 
-    fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
-        vec![input_shape[0], input_shape[1..].iter().product()]
-    }
-
-    fn flops_per_example(&self, _input_shape: &[usize]) -> u64 {
-        0
-    }
-
     fn name(&self) -> String {
         "Flatten".to_string()
     }
@@ -67,6 +59,6 @@ mod tests {
     #[test]
     fn output_shape() {
         let f = Flatten::new();
-        assert_eq!(f.output_shape(&[4, 3, 8, 8]), vec![4, 192]);
+        assert_eq!(f.spec().output_shape(&[4, 3, 8, 8]), Ok(vec![4, 192]));
     }
 }

@@ -245,18 +245,6 @@ impl Layer for Lstm {
         vec![&mut self.w, &mut self.u, &mut self.b]
     }
 
-    fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
-        vec![input_shape[0], self.hidden]
-    }
-
-    fn flops_per_example(&self, input_shape: &[usize]) -> u64 {
-        let t = input_shape[1] as u64;
-        let f = self.in_dim as u64;
-        let h = self.hidden as u64;
-        // Per step: x·W (2·F·4H) + h·U (2·H·4H) + gate math (~10·H).
-        t * (2 * f * 4 * h + 2 * h * 4 * h + 10 * h)
-    }
-
     fn scratch_bytes(&self) -> usize {
         self.scratch.bytes() + self.cache.iter().map(StepCache::bytes).sum::<usize>()
     }

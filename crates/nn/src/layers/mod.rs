@@ -68,14 +68,6 @@ pub trait Layer: Send {
         }
     }
 
-    /// Output shape for a given input shape (excluding any batch semantics —
-    /// shapes here include the batch dimension and the layer must preserve
-    /// position 0).
-    fn output_shape(&self, input_shape: &[usize]) -> Vec<usize>;
-
-    /// Floating-point operations per *example* for one forward pass.
-    fn flops_per_example(&self, input_shape: &[usize]) -> u64;
-
     /// Human-readable layer name for summaries.
     fn name(&self) -> String;
 
@@ -93,7 +85,9 @@ pub trait Layer: Send {
     }
 
     /// Symbolic description of this layer for the static graph validator
-    /// ([`autolearn_analyze::graph::validate_model`]).
+    /// ([`autolearn_analyze::graph::validate_model`]). Shape and FLOP
+    /// arithmetic live on the spec: `spec().output_shape(..)`,
+    /// `spec().flops(..)`.
     fn spec(&self) -> LayerSpec;
 }
 
@@ -121,6 +115,28 @@ impl ActivationLayer {
 }
 
 impl Activation {
+    /// Lower-case name, as carried by [`LayerSpec::Activation`].
+    pub fn name(self) -> &'static str {
+        match self {
+            Activation::Relu => "relu",
+            Activation::Tanh => "tanh",
+            Activation::Sigmoid => "sigmoid",
+            Activation::Linear => "linear",
+        }
+    }
+
+    /// Inverse of [`Activation::name`].
+    pub fn from_name(name: &str) -> Option<Activation> {
+        [
+            Activation::Relu,
+            Activation::Tanh,
+            Activation::Sigmoid,
+            Activation::Linear,
+        ]
+        .into_iter()
+        .find(|a| a.name() == name)
+    }
+
     pub fn apply(self, x: f32) -> f32 {
         match self {
             Activation::Relu => x.max(0.0),
@@ -159,22 +175,13 @@ impl Layer for ActivationLayer {
         grad_out.zip(y, |g, yv| g * self.kind.derivative_from_output(yv))
     }
 
-    fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
-        input_shape.to_vec()
-    }
-
-    fn flops_per_example(&self, input_shape: &[usize]) -> u64 {
-        // One transcendental ≈ a handful of flops; count 4 per element.
-        4 * input_shape[1..].iter().product::<usize>() as u64
-    }
-
     fn name(&self) -> String {
         format!("{:?}", self.kind)
     }
 
     fn spec(&self) -> LayerSpec {
         LayerSpec::Activation {
-            kind: format!("{:?}", self.kind).to_lowercase(),
+            kind: self.kind.name().to_string(),
         }
     }
 }
@@ -298,7 +305,7 @@ mod tests {
     #[test]
     fn activation_layer_shape_passthrough() {
         let layer = ActivationLayer::new(Activation::Relu);
-        assert_eq!(layer.output_shape(&[4, 3, 8, 8]), vec![4, 3, 8, 8]);
+        assert_eq!(layer.spec().output_shape(&[4, 3, 8, 8]), Ok(vec![4, 3, 8, 8]));
     }
 
     #[test]

@@ -85,16 +85,6 @@ impl Layer for MaxPool2D {
         dx
     }
 
-    fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
-        let (oh, ow) = self.out_hw(input_shape[2], input_shape[3]);
-        vec![input_shape[0], input_shape[1], oh, ow]
-    }
-
-    fn flops_per_example(&self, input_shape: &[usize]) -> u64 {
-        // One comparison per input element in each window.
-        input_shape[1..].iter().product::<usize>() as u64
-    }
-
     fn scratch_bytes(&self) -> usize {
         self.cache_argmax.len() * std::mem::size_of::<usize>()
     }
@@ -151,6 +141,6 @@ mod tests {
     #[test]
     fn truncates_ragged_edges() {
         let p = MaxPool2D::new(2);
-        assert_eq!(p.output_shape(&[1, 3, 5, 7]), vec![1, 3, 2, 3]);
+        assert_eq!(p.spec().output_shape(&[1, 3, 5, 7]), Ok(vec![1, 3, 2, 3]));
     }
 }

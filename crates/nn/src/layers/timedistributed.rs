@@ -49,21 +49,6 @@ impl Layer for TimeDistributed {
         self.inner.params_mut()
     }
 
-    fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
-        let mut merged = vec![input_shape[0] * input_shape[1]];
-        merged.extend_from_slice(&input_shape[2..]);
-        let inner_out = self.inner.output_shape(&merged);
-        let mut out = vec![input_shape[0], input_shape[1]];
-        out.extend_from_slice(&inner_out[1..]);
-        out
-    }
-
-    fn flops_per_example(&self, input_shape: &[usize]) -> u64 {
-        let mut merged = vec![input_shape[0] * input_shape[1]];
-        merged.extend_from_slice(&input_shape[2..]);
-        input_shape[1] as u64 * self.inner.flops_per_example(&merged)
-    }
-
     fn scratch_bytes(&self) -> usize {
         self.inner.scratch_bytes()
     }
@@ -121,8 +106,8 @@ mod tests {
     fn shape_and_flops() {
         let mut rng = rng_from_seed(3);
         let td = TimeDistributed::new(Box::new(Dense::new(4, 2, &mut rng)));
-        assert_eq!(td.output_shape(&[5, 3, 4]), vec![5, 3, 2]);
+        assert_eq!(td.spec().output_shape(&[5, 3, 4]), Ok(vec![5, 3, 2]));
         // 3 timesteps x dense flops.
-        assert_eq!(td.flops_per_example(&[5, 3, 4]), 3 * (2 * 4 * 2 + 2));
+        assert_eq!(td.spec().flops(&[5, 3, 4]), Ok(3 * (2 * 4 * 2 + 2)));
     }
 }

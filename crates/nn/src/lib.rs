@@ -13,8 +13,10 @@
 //!   `TimeDistributed`),
 //! * losses (MSE, softmax cross-entropy), optimizers (SGD+momentum, Adam),
 //! * a [`Sequential`] container plus the six two-headed DonkeyCar
-//!   architectures in [`models`],
-//! * FLOP introspection per layer, feeding the analytic GPU performance
+//!   architectures in [`models`], each instantiated from its symbolic
+//!   plan ([`Sequential::from_specs`]),
+//! * FLOP introspection through every layer's spec
+//!   (`layer.spec().flops(..)`), feeding the analytic GPU performance
 //!   model in `autolearn-cloud`,
 //! * JSON (de)serialisation of weights so "pre-trained models" can live in
 //!   the object store exactly as the paper stores them.

@@ -2,16 +2,13 @@
 
 use super::{DonkeyModel, InferredThrottle, InputSpec, ModelConfig, ModelKind};
 use crate::data::Batch;
-use crate::layers::{
-    Activation, ActivationLayer, Conv2D, Conv3D, Dense, Dropout, Flatten, Layer, Lstm,
-    TimeDistributed,
-};
+use crate::layers::Layer;
 use crate::loss::{bin_value, one_hot, softmax_rows, unbin_value, Loss};
 use crate::optim::Optimizer;
 use crate::sequential::Sequential;
 use crate::tensor::Tensor;
 use autolearn_analyze::contract::FrameLayout;
-use autolearn_analyze::graph::{LayerSpec, ModelSpec};
+use autolearn_analyze::graph::{format_errors, validate_model, LayerSpec, ModelSpec};
 use autolearn_util::rng::derive_rng;
 use serde::{Deserialize, Serialize};
 
@@ -61,93 +58,40 @@ pub struct CarModel {
 }
 
 impl CarModel {
-    /// Build a model of `kind` with the given config.
+    /// Build a model of `kind` with the given config by instantiating its
+    /// [`CarModel::plan`] — the plan is the only description of each zoo
+    /// architecture. One weight stream (derived from `cfg.seed` and the
+    /// kind) initialises the chains in plan order: trunk, merge, heads.
+    ///
+    /// # Panics
+    ///
+    /// On a 3D model with `seq_len < 3`, and on any config whose plan
+    /// [`autolearn_analyze::validate_model`] rejects (e.g. a camera frame
+    /// too small for the conv stack); the message lists the validator's
+    /// errors. Vet untrusted configs with `validate_model(&CarModel::plan(..))`.
     pub fn build(kind: ModelKind, cfg: &ModelConfig) -> CarModel {
+        assert!(
+            kind != ModelKind::ThreeD || cfg.seq_len >= 3,
+            "3D model needs seq_len >= 3"
+        );
+        let plan = CarModel::plan(kind, cfg);
+        if let Err(errs) = validate_model(&plan) {
+            // INVARIANT: documented panic above; `Pipeline::preflight`
+            // validates this same plan before the pipeline builds a model.
+            panic!("cannot build the {kind} model:\n{}", format_errors(&errs));
+        }
         let mut rng = derive_rng(cfg.seed, kind.name());
-        let (c, h, w) = (cfg.channels, cfg.height, cfg.width);
-
-        // Shared 2-D conv feature stack (scaled-down DonkeyCar default).
-        let conv_stack = |rng: &mut rand::rngs::StdRng| -> (Sequential, usize) {
-            let mut s = Sequential::new();
-            s.add(Conv2D::new(c, 8, 5, 2, rng));
-            s.add(ActivationLayer::new(Activation::Relu));
-            s.add(Conv2D::new(8, 16, 3, 2, rng));
-            s.add(ActivationLayer::new(Activation::Relu));
-            s.add(Conv2D::new(16, 32, 3, 2, rng));
-            s.add(ActivationLayer::new(Activation::Relu));
-            s.add(Flatten::new());
-            let flat = s.output_shape(&[1, c, h, w])[1];
-            (s, flat)
-        };
-
-        let mut merge = None;
-        let (trunk, feat_dim) = match kind {
-            ModelKind::Linear | ModelKind::Categorical | ModelKind::Inferred => {
-                let (mut s, flat) = conv_stack(&mut rng);
-                s.add(Dense::new(flat, 64, &mut rng));
-                s.add(ActivationLayer::new(Activation::Relu));
-                s.add(Dropout::new(cfg.dropout, cfg.seed ^ 0xd0));
-                (s, 64)
-            }
-            ModelKind::Memory => {
-                let (mut s, flat) = conv_stack(&mut rng);
-                s.add(Dense::new(flat, 64, &mut rng));
-                s.add(ActivationLayer::new(Activation::Relu));
-                let mut m = Sequential::new();
-                m.add(Dense::new(64 + 2 * cfg.history, 64, &mut rng));
-                m.add(ActivationLayer::new(Activation::Relu));
-                m.add(Dropout::new(cfg.dropout, cfg.seed ^ 0xd1));
-                merge = Some(m);
-                (s, 64)
-            }
-            ModelKind::Rnn => {
-                let (mut inner, flat) = conv_stack(&mut rng);
-                inner.add(Dense::new(flat, 64, &mut rng));
-                inner.add(ActivationLayer::new(Activation::Relu));
-                let mut s = Sequential::new();
-                s.add(TimeDistributed::new(Box::new(inner)));
-                s.add(Lstm::new(64, 32, &mut rng));
-                (s, 32)
-            }
-            ModelKind::ThreeD => {
-                assert!(cfg.seq_len >= 3, "3D model needs seq_len >= 3");
-                let mut s = Sequential::new();
-                s.add(Conv3D::new(c, 8, 2, 5, 1, 2, &mut rng));
-                s.add(ActivationLayer::new(Activation::Relu));
-                s.add(Conv3D::new(8, 16, 2, 3, 1, 2, &mut rng));
-                s.add(ActivationLayer::new(Activation::Relu));
-                s.add(Flatten::new());
-                let flat = s.output_shape(&[1, c, cfg.seq_len, h, w])[1];
-                s.add(Dense::new(flat, 64, &mut rng));
-                s.add(ActivationLayer::new(Activation::Relu));
-                (s, 64)
-            }
-        };
-
-        let (head_s, head_t) = match kind {
-            ModelKind::Categorical => {
-                let mut hs = Sequential::new();
-                hs.add(Dense::new(feat_dim, cfg.steering_bins, &mut rng));
-                let mut ht = Sequential::new();
-                ht.add(Dense::new(feat_dim, cfg.throttle_bins, &mut rng));
-                (hs, Some(ht))
-            }
-            ModelKind::Inferred => {
-                let mut hs = Sequential::new();
-                hs.add(Dense::new(feat_dim, 1, &mut rng));
-                hs.add(ActivationLayer::new(Activation::Tanh));
-                (hs, None)
-            }
-            _ => {
-                let mut hs = Sequential::new();
-                hs.add(Dense::new(feat_dim, 1, &mut rng));
-                hs.add(ActivationLayer::new(Activation::Tanh));
-                let mut ht = Sequential::new();
-                ht.add(Dense::new(feat_dim, 1, &mut rng));
-                ht.add(ActivationLayer::new(Activation::Sigmoid));
-                (hs, Some(ht))
-            }
-        };
+        let trunk = Sequential::from_specs(&plan.layers, &mut rng, cfg.seed ^ 0xd0);
+        let merge = (!plan.merge.is_empty())
+            .then(|| Sequential::from_specs(&plan.merge, &mut rng, cfg.seed ^ 0xd1));
+        let mut heads = plan
+            .heads
+            .iter()
+            .map(|(_, layers)| Sequential::from_specs(layers, &mut rng, cfg.seed ^ 0xd2));
+        // The validated plan has a steering head; only Inferred lacks a
+        // throttle head.
+        let head_s = heads.next().unwrap_or_default();
+        let head_t = heads.next();
 
         CarModel {
             kind,
@@ -156,7 +100,7 @@ impl CarModel {
             merge,
             head_s,
             head_t,
-            feat_dim,
+            feat_dim: plan.declared_feature_dim.unwrap_or(0),
             inferred_throttle: InferredThrottle::default(),
         }
     }
@@ -165,19 +109,19 @@ impl CarModel {
         &self.cfg
     }
 
-    /// Shape of the primary (image) input for a single example.
-    fn image_input_shape(&self, batch: usize) -> Vec<usize> {
-        let ModelConfig {
-            height,
-            width,
-            channels,
-            seq_len,
-            ..
-        } = self.cfg;
-        match self.kind {
-            ModelKind::Rnn => vec![batch, seq_len, channels, height, width],
-            ModelKind::ThreeD => vec![batch, channels, seq_len, height, width],
-            _ => vec![batch, channels, height, width],
+    /// The *live* layers as a spec, on the input shape the current config
+    /// plans: what the trainer validates before the first step and what
+    /// the FLOP count walks.
+    fn live_spec(&self) -> ModelSpec {
+        let mut heads = vec![("steering".to_string(), chain_layers(&self.head_s))];
+        if let Some(t) = &self.head_t {
+            heads.push(("throttle".to_string(), chain_layers(t)));
+        }
+        ModelSpec {
+            layers: chain_layers(&self.trunk),
+            merge: self.merge.as_ref().map(chain_layers).unwrap_or_default(),
+            heads,
+            ..CarModel::plan(self.kind, &self.cfg)
         }
     }
 
@@ -290,13 +234,6 @@ impl CarModel {
         }
     }
 
-    /// Symbolic architecture plan for `kind`/`cfg`, built without
-    /// allocating a single tensor. This is the zoo's declared expectation:
-    /// [`CarModel::graph_spec`] validates the *live* layers against the
-    /// plan's parameter totals, so an edit to [`CarModel::build`] that is
-    /// not mirrored here fails validation before training starts. Feed it
-    /// to [`autolearn_analyze::validate_model`] to vet a config (e.g. a
-    /// degenerate camera geometry) before paying for `build`.
     /// Where the camera frame lives in this kind's input tensor — the
     /// static-contract counterpart of the input shape [`CarModel::plan`]
     /// declares.
@@ -308,191 +245,110 @@ impl CarModel {
         }
     }
 
+    /// Symbolic architecture plan for `kind`/`cfg`, built without
+    /// allocating a single tensor. This is the zoo's single description of
+    /// each architecture: [`CarModel::build`] validates it and instantiates
+    /// its chains. Feed it to [`autolearn_analyze::validate_model`] to vet
+    /// a config (e.g. a degenerate camera geometry) before paying for
+    /// `build`.
     pub fn plan(kind: ModelKind, cfg: &ModelConfig) -> ModelSpec {
         let (c, h, w) = (cfg.channels, cfg.height, cfg.width);
-        let relu = || LayerSpec::Activation {
-            kind: "relu".to_string(),
+        let act = |kind: &str| LayerSpec::Activation {
+            kind: kind.to_string(),
+        };
+        let dense = |input, output| LayerSpec::Dense { input, output };
+        let dropout = || LayerSpec::Dropout {
+            rate: f64::from(cfg.dropout),
+        };
+        // Scaled-down DonkeyCar conv stacks: a 5x5 then 3x3 kernels, all
+        // stride 2 in space (the 3D stack also spans 2 frames per step).
+        let conv2d = |in_channels, filters, kernel| LayerSpec::Conv2D {
+            in_channels,
+            filters,
+            kernel,
+            stride: 2,
+        };
+        let conv3d = |in_channels, filters, kernel| LayerSpec::Conv3D {
+            in_channels,
+            filters,
+            kernel_t: 2,
+            kernel,
+            stride_t: 1,
+            stride: 2,
         };
         let conv_stack = || {
             vec![
-                LayerSpec::Conv2D {
-                    in_channels: c,
-                    filters: 8,
-                    kernel: 5,
-                    stride: 2,
-                },
-                relu(),
-                LayerSpec::Conv2D {
-                    in_channels: 8,
-                    filters: 16,
-                    kernel: 3,
-                    stride: 2,
-                },
-                relu(),
-                LayerSpec::Conv2D {
-                    in_channels: 16,
-                    filters: 32,
-                    kernel: 3,
-                    stride: 2,
-                },
-                relu(),
+                conv2d(c, 8, 5),
+                act("relu"),
+                conv2d(8, 16, 3),
+                act("relu"),
+                conv2d(16, 32, 3),
+                act("relu"),
                 LayerSpec::Flatten,
             ]
         };
-        // Symbolic flat-dim: 0 when the geometry is degenerate, so the
-        // validator reports the conv error instead of this panicking.
-        let flat_after = |layers: &[LayerSpec], input: &[usize]| -> usize {
-            LayerSpec::Chain(layers.to_vec())
+        // A flattening conv stack topped with a 64-wide relu dense layer
+        // sized to its output at `input` — 0 when the geometry is
+        // degenerate, so the validator reports the conv error instead of
+        // this panicking.
+        let with_dense = |mut layers: Vec<LayerSpec>, input: &[usize]| {
+            let flat = LayerSpec::Chain(layers.clone())
                 .output_shape(input)
-                .map(|s| s[1])
-                .unwrap_or(0)
+                .map_or(0, |s| s[1]);
+            layers.extend([dense(flat, 64), act("relu")]);
+            layers
         };
 
-        let mut aux_width = None;
-        let mut merge = Vec::new();
-        let (input, layers, feat) = match kind {
+        let frame = vec![1, c, h, w];
+        let (input, layers, aux_width, merge, feat) = match kind {
             ModelKind::Linear | ModelKind::Categorical | ModelKind::Inferred => {
-                let input = vec![1, c, h, w];
-                let mut layers = conv_stack();
-                let flat = flat_after(&layers, &input);
-                layers.push(LayerSpec::Dense {
-                    input: flat,
-                    output: 64,
-                });
-                layers.push(relu());
-                layers.push(LayerSpec::Dropout {
-                    rate: cfg.dropout as f64,
-                });
-                (input, layers, 64)
+                let mut layers = with_dense(conv_stack(), &frame);
+                layers.push(dropout());
+                (frame, layers, None, Vec::new(), 64)
             }
             ModelKind::Memory => {
-                let input = vec![1, c, h, w];
-                let mut layers = conv_stack();
-                let flat = flat_after(&layers, &input);
-                layers.push(LayerSpec::Dense {
-                    input: flat,
-                    output: 64,
-                });
-                layers.push(relu());
-                aux_width = Some(2 * cfg.history);
-                merge = vec![
-                    LayerSpec::Dense {
-                        input: 64 + 2 * cfg.history,
-                        output: 64,
-                    },
-                    relu(),
-                    LayerSpec::Dropout {
-                        rate: cfg.dropout as f64,
-                    },
-                ];
-                (input, layers, 64)
+                let aux = 2 * cfg.history;
+                let merge = vec![dense(64 + aux, 64), act("relu"), dropout()];
+                let layers = with_dense(conv_stack(), &frame);
+                (frame, layers, Some(aux), merge, 64)
             }
             ModelKind::Rnn => {
-                let input = vec![1, cfg.seq_len, c, h, w];
-                let mut inner = conv_stack();
-                let flat = flat_after(&inner, &[1, c, h, w]);
-                inner.push(LayerSpec::Dense {
-                    input: flat,
-                    output: 64,
-                });
-                inner.push(relu());
+                let per_frame = LayerSpec::Chain(with_dense(conv_stack(), &frame));
                 let layers = vec![
                     LayerSpec::TimeDistributed {
-                        inner: Box::new(LayerSpec::Chain(inner)),
+                        inner: Box::new(per_frame),
                     },
                     LayerSpec::Lstm {
                         input: 64,
                         hidden: 32,
                     },
                 ];
-                (input, layers, 32)
+                (vec![1, cfg.seq_len, c, h, w], layers, None, Vec::new(), 32)
             }
             ModelKind::ThreeD => {
                 let input = vec![1, c, cfg.seq_len, h, w];
-                let mut layers = vec![
-                    LayerSpec::Conv3D {
-                        in_channels: c,
-                        filters: 8,
-                        kernel_t: 2,
-                        kernel: 5,
-                        stride_t: 1,
-                        stride: 2,
-                    },
-                    relu(),
-                    LayerSpec::Conv3D {
-                        in_channels: 8,
-                        filters: 16,
-                        kernel_t: 2,
-                        kernel: 3,
-                        stride_t: 1,
-                        stride: 2,
-                    },
-                    relu(),
+                let convs = vec![
+                    conv3d(c, 8, 5),
+                    act("relu"),
+                    conv3d(8, 16, 3),
+                    act("relu"),
                     LayerSpec::Flatten,
                 ];
-                let flat = flat_after(&layers, &input);
-                layers.push(LayerSpec::Dense {
-                    input: flat,
-                    output: 64,
-                });
-                layers.push(relu());
-                (input, layers, 64)
+                let layers = with_dense(convs, &input);
+                (input, layers, None, Vec::new(), 64)
             }
         };
 
-        let tanh = || LayerSpec::Activation {
-            kind: "tanh".to_string(),
-        };
+        let head = |name: &str, layers| (name.to_string(), layers);
         let heads = match kind {
             ModelKind::Categorical => vec![
-                (
-                    "steering".to_string(),
-                    vec![LayerSpec::Dense {
-                        input: feat,
-                        output: cfg.steering_bins,
-                    }],
-                ),
-                (
-                    "throttle".to_string(),
-                    vec![LayerSpec::Dense {
-                        input: feat,
-                        output: cfg.throttle_bins,
-                    }],
-                ),
+                head("steering", vec![dense(feat, cfg.steering_bins)]),
+                head("throttle", vec![dense(feat, cfg.throttle_bins)]),
             ],
-            ModelKind::Inferred => vec![(
-                "steering".to_string(),
-                vec![
-                    LayerSpec::Dense {
-                        input: feat,
-                        output: 1,
-                    },
-                    tanh(),
-                ],
-            )],
+            ModelKind::Inferred => vec![head("steering", vec![dense(feat, 1), act("tanh")])],
             _ => vec![
-                (
-                    "steering".to_string(),
-                    vec![
-                        LayerSpec::Dense {
-                            input: feat,
-                            output: 1,
-                        },
-                        tanh(),
-                    ],
-                ),
-                (
-                    "throttle".to_string(),
-                    vec![
-                        LayerSpec::Dense {
-                            input: feat,
-                            output: 1,
-                        },
-                        LayerSpec::Activation {
-                            kind: "sigmoid".to_string(),
-                        },
-                    ],
-                ),
+                head("steering", vec![dense(feat, 1), act("tanh")]),
+                head("throttle", vec![dense(feat, 1), act("sigmoid")]),
             ],
         };
 
@@ -619,17 +475,9 @@ impl DonkeyModel for CarModel {
     }
 
     fn flops_per_inference(&self) -> u64 {
-        let img_shape = self.image_input_shape(1);
-        let mut total = self.trunk.flops_per_example(&img_shape);
-        let feat_shape = vec![1usize, self.feat_dim];
-        if let Some(m) = &self.merge {
-            total += m.flops_per_example(&[1, self.feat_dim + 2 * self.cfg.history]);
-        }
-        total += self.head_s.flops_per_example(&feat_shape);
-        if let Some(t) = &self.head_t {
-            total += t.flops_per_example(&feat_shape);
-        }
-        total
+        // The live graph was instantiated from a validated plan, so it
+        // always propagates; 0 marks a graph the validator rejects.
+        self.live_spec().total_flops().unwrap_or(0)
     }
 
     fn param_count(&mut self) -> usize {
@@ -653,24 +501,7 @@ impl DonkeyModel for CarModel {
     }
 
     fn graph_spec(&self) -> Option<ModelSpec> {
-        // The live layers are the spec under test; the static plan is the
-        // declared expectation. Parameter drift between them means build()
-        // and plan() have diverged.
-        let declared = CarModel::plan(self.kind, &self.cfg).total_params();
-        let mut heads = vec![("steering".to_string(), chain_layers(&self.head_s))];
-        if let Some(t) = &self.head_t {
-            heads.push(("throttle".to_string(), chain_layers(t)));
-        }
-        Some(ModelSpec {
-            name: self.kind.name().to_string(),
-            input: self.image_input_shape(1),
-            layers: chain_layers(&self.trunk),
-            aux_width: self.merge.as_ref().map(|_| 2 * self.cfg.history),
-            merge: self.merge.as_ref().map(chain_layers).unwrap_or_default(),
-            heads,
-            declared_params: Some(declared),
-            declared_feature_dim: Some(self.feat_dim),
-        })
+        Some(self.live_spec())
     }
 }
 
@@ -933,8 +764,7 @@ mod tests {
     fn every_kind_plans_a_valid_graph() {
         // The static plan for each zoo kind must survive symbolic shape
         // propagation, and its parameter arithmetic must agree with the
-        // live model built from the same config — so any drift between
-        // `plan` and `build` is caught here, not at a student's train step.
+        // live layers `build` instantiates from it.
         let cfg = small_cfg();
         for kind in ModelKind::all() {
             let spec = CarModel::plan(kind, &cfg);
@@ -952,7 +782,8 @@ mod tests {
     #[test]
     fn live_graph_spec_matches_plan() {
         // graph_spec() describes the *built* layers; validating it must
-        // succeed and agree with the plan's feature dim for each kind.
+        // succeed, and since build instantiates the plan, describing the
+        // live layers gives the plan back.
         let cfg = small_cfg();
         for kind in ModelKind::all() {
             let model = CarModel::build(kind, &cfg);
@@ -965,6 +796,7 @@ mod tests {
                 planned.declared_feature_dim,
                 "{kind:?}: live feature dim != planned"
             );
+            assert_eq!(spec, planned, "{kind:?}: live layers != plan");
         }
     }
 
@@ -980,6 +812,76 @@ mod tests {
         let errs = autolearn_analyze::validate_model(&CarModel::plan(ModelKind::Linear, &cfg))
             .expect_err("degenerate geometry must not validate");
         assert!(!errs.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot build the linear model")]
+    fn build_refuses_degenerate_geometry_with_validator_errors() {
+        let cfg = ModelConfig {
+            height: 4,
+            width: 4,
+            ..small_cfg()
+        };
+        let _ = CarModel::build(ModelKind::Linear, &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "3D model needs seq_len >= 3")]
+    fn build_refuses_short_threed_sequences() {
+        let cfg = ModelConfig {
+            seq_len: 2,
+            ..small_cfg()
+        };
+        let _ = CarModel::build(ModelKind::ThreeD, &cfg);
+    }
+
+    /// FNV-1a over every weight's bit pattern (and each tensor's length),
+    /// in `state_dict` order.
+    fn state_hash(model: &mut CarModel) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for p in model.state_dict() {
+            eat(&(p.len() as u64).to_le_bytes());
+            for v in p {
+                eat(&v.to_bits().to_le_bytes());
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn zoo_is_pinned_at_the_default_config() {
+        // Weight init order, parameter and FLOP arithmetic are all frozen:
+        // simulated training times and every saved model depend on them.
+        let pinned = [
+            (ModelKind::Linear, 18_498, 296_042, 0x306b_04f8_d3c6_8ee7),
+            (ModelKind::Memory, 23_170, 305_578, 0xe7ff_10d1_eeb7_c603),
+            (ModelKind::ThreeD, 52_074, 712_522, 0xb715_43e3_3f87_e79a),
+            (
+                ModelKind::Categorical,
+                20_643,
+                300_291,
+                0xcd24_b46f_25d4_3e10,
+            ),
+            (ModelKind::Inferred, 18_433, 295_909, 0x4581_43e4_464d_919a),
+            (ModelKind::Rnn, 30_850, 961_962, 0xdb6e_a26e_adc7_2145),
+        ];
+        let cfg = ModelConfig::default();
+        for (kind, params, flops, hash) in pinned {
+            let mut model = CarModel::build(kind, &cfg);
+            assert_eq!(model.param_count(), params, "{kind}: params");
+            assert_eq!(model.flops_per_inference(), flops, "{kind}: flops");
+            assert_eq!(
+                CarModel::plan(kind, &cfg).total_flops(),
+                Ok(flops),
+                "{kind}"
+            );
+            assert_eq!(state_hash(&mut model), hash, "{kind}: weights");
+        }
     }
 
     #[test]

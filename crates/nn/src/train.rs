@@ -89,9 +89,9 @@ impl Trainer {
     ) -> Result<TrainReport, Vec<GraphError>> {
         assert!(data.len() >= 2, "dataset too small to split");
         let cfg = &self.config;
-        let (train, val) = data.split(cfg.train_frac, cfg.seed);
+        let (train, val) = data.split_indices(cfg.train_frac, cfg.seed);
         let mut opt = Adam::new(cfg.learning_rate);
-        self.fit_with(model, &train, &val, &mut opt)
+        self.fit_inner(model, (data, &train), (data, &val), &mut opt, None)
     }
 
     /// [`Trainer::fit`] with telemetry: wraps the run in a `fit` span,
@@ -107,9 +107,9 @@ impl Trainer {
     ) -> Result<TrainReport, Vec<GraphError>> {
         assert!(data.len() >= 2, "dataset too small to split");
         let cfg = &self.config;
-        let (train, val) = data.split(cfg.train_frac, cfg.seed);
+        let (train, val) = data.split_indices(cfg.train_frac, cfg.seed);
         let mut opt = Adam::new(cfg.learning_rate);
-        self.fit_inner(model, &train, &val, &mut opt, Some(obs))
+        self.fit_inner(model, (data, &train), (data, &val), &mut opt, Some(obs))
     }
 
     /// Fit with explicit train/val sets and optimizer (used by experiments
@@ -122,14 +122,18 @@ impl Trainer {
         val: &Dataset,
         opt: &mut dyn Optimizer,
     ) -> Result<TrainReport, Vec<GraphError>> {
-        self.fit_inner(model, train, val, opt, None)
+        let all = |d: &Dataset| (0..d.len()).collect::<Vec<_>>();
+        self.fit_inner(model, (train, &all(train)), (val, &all(val)), opt, None)
     }
 
+    /// The training loop over the examples `train.1` of `train.0` and
+    /// `val.1` of `val.0`: the split and every batch are gathered by
+    /// index, so no copy of a whole set is ever made.
     fn fit_inner(
         &self,
         model: &mut dyn DonkeyModel,
-        train: &Dataset,
-        val: &Dataset,
+        train: (&Dataset, &[usize]),
+        val: (&Dataset, &[usize]),
         opt: &mut dyn Optimizer,
         mut obs: Option<&mut Obs>,
     ) -> Result<TrainReport, Vec<GraphError>> {
@@ -151,14 +155,15 @@ impl Trainer {
             opt.set_learning_rate(scheduler.lr_for_epoch(epoch, cfg.epochs, last_val));
             let mut train_loss = 0.0f32;
             let mut batches = 0usize;
-            for batch in train.batches(cfg.batch_size, true, cfg.seed ^ epoch as u64) {
+            let (data, idx) = train;
+            for batch in data.batches_of(idx, cfg.batch_size, true, cfg.seed ^ epoch as u64) {
                 train_loss += model.train_batch(&batch, opt);
                 examples_seen += batch.len() as u64;
                 batches += 1;
             }
             train_loss /= batches.max(1) as f32; // cast: batch count, exact in f32
 
-            let val_loss = evaluate(model, val, cfg.batch_size);
+            let val_loss = evaluate_on(model, val, cfg.batch_size);
             last_val = val_loss;
             history.push(EpochStats {
                 epoch,
@@ -231,12 +236,28 @@ const LOSS_BUCKETS: &[f64] = &[0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
 
 /// Mean per-batch validation loss.
 pub fn evaluate(model: &mut dyn DonkeyModel, data: &Dataset, batch_size: usize) -> f32 {
-    if data.is_empty() {
+    let all: Vec<usize> = (0..data.len()).collect();
+    evaluate_on(model, (data, &all), batch_size)
+}
+
+/// [`evaluate`] over the examples `idx` of `data`.
+fn evaluate_on(
+    model: &mut dyn DonkeyModel,
+    (data, idx): (&Dataset, &[usize]),
+    batch_size: usize,
+) -> f32 {
+    if idx.is_empty() {
         return 0.0;
     }
-    let batches = data.batches(batch_size, false, 0);
-    let total: f32 = batches.iter().map(|b| model.eval_batch(b)).sum();
-    total / batches.len() as f32 // cast: batch count, exact in f32
+    let mut batches = 0usize;
+    let total: f32 = data
+        .batches_of(idx, batch_size, false, 0)
+        .map(|b| {
+            batches += 1;
+            model.eval_batch(&b)
+        })
+        .sum();
+    total / batches as f32 // cast: batch count, exact in f32
 }
 
 #[cfg(test)]
@@ -401,7 +422,7 @@ mod tests {
     #[test]
     fn observed_fit_matches_unobserved_and_reports_epochs() {
         let make = || {
-            let mut model = CarModel::build(ModelKind::Linear, &cfg());
+            let model = CarModel::build(ModelKind::Linear, &cfg());
             let data = prepare_dataset(&dataset(60), model.input_spec());
             (model, data)
         };

@@ -106,10 +106,10 @@ proptest! {
         let x = Tensor::randn(&[b, c, hw, hw], 1.0, &mut rng);
         let mut pool = MaxPool2D::new(2);
         let y = pool.forward(&x, false);
-        prop_assert_eq!(y.shape(), &pool.output_shape(x.shape())[..]);
+        prop_assert_eq!(Ok(y.shape().to_vec()), pool.spec().output_shape(x.shape()));
         let mut flat = Flatten::new();
         let z = flat.forward(&y, false);
-        prop_assert_eq!(z.shape(), &flat.output_shape(y.shape())[..]);
+        prop_assert_eq!(Ok(z.shape().to_vec()), flat.spec().output_shape(y.shape()));
         let mut act = ActivationLayer::new(Activation::Relu);
         let w = act.forward(&z, false);
         prop_assert_eq!(w.shape(), z.shape());

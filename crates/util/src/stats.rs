@@ -130,13 +130,14 @@ impl std::fmt::Display for Summary {
 }
 
 /// Linear-interpolated percentile of an unsorted slice (`p` in [0, 100]).
-/// Returns 0.0 for an empty slice.
+/// Returns 0.0 for an empty slice. Values are ranked by [`f64::total_cmp`],
+/// so a NaN sorts last and only reaches the top percentiles.
 pub fn percentile(values: &[f64], p: f64) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
     let mut sorted: Vec<f64> = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    sorted.sort_by(f64::total_cmp);
     let p = p.clamp(0.0, 100.0);
     let rank = p / 100.0 * (sorted.len() - 1) as f64;
     let lo = rank.floor() as usize;
@@ -204,6 +205,14 @@ mod tests {
     fn percentile_handles_unsorted_input() {
         let xs = [4.0, 1.0, 3.0, 2.0];
         assert!((percentile(&xs, 50.0) - 2.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn percentile_ranks_nan_last() {
+        let xs = [3.0, f64::NAN, 1.0, 2.0];
+        assert_eq!(percentile(&xs, 0.0), 1.0);
+        assert!((percentile(&xs, 50.0) - 2.5).abs() < 1e-12);
+        assert!(percentile(&xs, 100.0).is_nan());
     }
 
     #[test]

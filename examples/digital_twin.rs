@@ -9,7 +9,7 @@ use autolearn::collect::{collect_session, CollectConfig, CollectionPath};
 use autolearn::dataset::records_to_dataset;
 use autolearn::twin::twin_compare;
 use autolearn_nn::models::{prepare_dataset, CarModel, DonkeyModel, ModelConfig, ModelKind};
-use autolearn_nn::{TrainConfig, Trainer};
+use autolearn_nn::{format_errors, TrainConfig, Trainer};
 use autolearn_track::paper_oval;
 
 fn main() {
@@ -36,12 +36,19 @@ fn main() {
     for kind in [ModelKind::Linear, ModelKind::Inferred] {
         let mut model = CarModel::build(kind, &model_cfg);
         let data = prepare_dataset(&raw, model.input_spec());
-        Trainer::new(TrainConfig {
+        let trained = Trainer::new(TrainConfig {
             epochs: 10,
             seed: 3,
             ..Default::default()
         })
         .fit(&mut model, &data);
+        if let Err(errs) = trained {
+            eprintln!(
+                "{kind} model rejected before training:\n{}",
+                format_errors(&errs)
+            );
+            std::process::exit(1);
+        }
 
         let twin = twin_compare(&mut model, &track, 60.0, 3);
         println!(

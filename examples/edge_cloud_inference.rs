@@ -17,7 +17,7 @@ use autolearn::placement::{max_safe_speed, InferencePlacement};
 use autolearn_cloud::hardware::{ComputeDevice, GpuKind};
 use autolearn_net::{Link, Path};
 use autolearn_nn::models::{prepare_dataset, CarModel, DonkeyModel, ModelConfig, ModelKind, SavedModel};
-use autolearn_nn::{TrainConfig, Trainer};
+use autolearn_nn::{format_errors, TrainConfig, Trainer};
 use autolearn_sim::{CameraConfig, CarConfig, DriveConfig, Simulation};
 use autolearn_track::paper_oval;
 
@@ -42,12 +42,16 @@ fn main() {
         &records_to_dataset(&collected.records, &model_cfg),
         model.input_spec(),
     );
-    Trainer::new(TrainConfig {
+    let trained = Trainer::new(TrainConfig {
         epochs: 10,
         seed: 7,
         ..Default::default()
     })
     .fit(&mut model, &data);
+    if let Err(errs) = trained {
+        eprintln!("model rejected before training:\n{}", format_errors(&errs));
+        std::process::exit(1);
+    }
     let snapshot = SavedModel::capture(&mut model);
     let flops = model.flops_per_inference();
 

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# The full local CI gate: release build, the complete test suite, and the
-# static-analysis gate — everything a change must pass before merging.
+# The full local CI gate: release build, the complete workspace test suite,
+# the benchmark build check, and the static-analysis gate — everything a
+# change must pass before merging.
 #
 #   scripts/ci.sh
 #
-# Runs all three phases even when an earlier one fails, so one invocation
+# Runs every phase even when an earlier one fails, so one invocation
 # reports every broken gate; exits non-zero if any phase failed.
 set -uo pipefail
 cd "$(dirname "$0")/.."
@@ -15,8 +16,18 @@ echo "== ci: cargo build --release =="
 cargo build --release || status=$?
 
 echo
-echo "== ci: cargo test -q =="
-cargo test -q || status=$?
+echo "== ci: cargo test -q --workspace =="
+# --workspace: a bare `cargo test` in this root-package workspace tests
+# only the root package and skips every crate's unit tests.
+cargo test -q --workspace || status=$?
+
+echo
+echo "== ci: benchmark build check =="
+# The benchmark (perfbench/) is its own package linking the crates by
+# path; a crate API change that breaks it must fail here, not at the
+# next benchmark run. --locked keeps its Cargo.lock untouched.
+cargo check --release --locked --offline --manifest-path perfbench/Cargo.toml \
+    --target-dir .bench_build || status=$?
 
 echo
 echo "== ci: static-analysis gate =="
