@@ -125,11 +125,8 @@ pub fn launch_lease_observed(
             obs.event(
                 "lease-admitted",
                 vec![
-                    ("node_type".to_string(), AttrValue::Str(node_type.to_string())),
-                    (
-                        "launch_s".to_string(),
-                        AttrValue::F64(launch.launch_time.as_secs()),
-                    ),
+                    ("node_type", AttrValue::Str(node_type.to_string())),
+                    ("launch_s", AttrValue::F64(launch.launch_time.as_secs())),
                 ],
             );
             if let Some(at_fraction) = launch.preempt_at_fraction {
@@ -137,8 +134,8 @@ pub fn launch_lease_observed(
                 obs.event(
                     "preemption-scheduled",
                     vec![
-                        ("node_type".to_string(), AttrValue::Str(node_type.to_string())),
-                        ("at_fraction".to_string(), AttrValue::F64(at_fraction)),
+                        ("node_type", AttrValue::Str(node_type.to_string())),
+                        ("at_fraction", AttrValue::F64(at_fraction)),
                     ],
                 );
             }
@@ -147,8 +144,8 @@ pub fn launch_lease_observed(
             obs.event(
                 "launch-failed",
                 vec![
-                    ("node_type".to_string(), AttrValue::Str(node_type.to_string())),
-                    ("error".to_string(), AttrValue::Str(err.to_string())),
+                    ("node_type", AttrValue::Str(node_type.to_string())),
+                    ("error", AttrValue::Str(err.to_string())),
                 ],
             );
         }

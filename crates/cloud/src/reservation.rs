@@ -67,10 +67,19 @@ impl std::fmt::Display for ReservationError {
 impl std::error::Error for ReservationError {}
 
 /// The per-site reservation calendar.
+///
+/// Every lease ever admitted stays in `leases`, in admission order, so
+/// lease ids are dense and [`ReservationSystem::lease`] is an index.
+/// Ended leases never hold capacity again, so admission and
+/// [`ReservationSystem::advance_time`] walk only `live`: the cost of an
+/// operation depends on the leases still on the calendar, not on how many
+/// the site has ever served.
 pub struct ReservationSystem {
     site: Site,
+    /// `leases[i].id == LeaseId(i + 1)`.
     leases: Vec<Lease>,
-    next_id: u64,
+    /// Positions in `leases` of the leases not yet `Ended`, ascending.
+    live: Vec<usize>,
 }
 
 impl ReservationSystem {
@@ -78,7 +87,7 @@ impl ReservationSystem {
         ReservationSystem {
             site,
             leases: Vec::new(),
-            next_id: 1,
+            live: Vec::new(),
         }
     }
 
@@ -86,43 +95,52 @@ impl ReservationSystem {
         &self.site
     }
 
+    /// Every lease ever admitted, in admission order.
     pub fn leases(&self) -> &[Lease] {
         &self.leases
     }
 
     pub fn lease(&self, id: LeaseId) -> Option<&Lease> {
-        self.leases.iter().find(|l| l.id == id)
+        self.position(id).map(|i| &self.leases[i])
+    }
+
+    fn position(&self, id: LeaseId) -> Option<usize> {
+        let i = usize::try_from(id.0.checked_sub(1)?).ok()?;
+        (i < self.leases.len()).then_some(i)
     }
 
     /// Worst-case free nodes of `node_type` over `[start, end)`.
     pub fn min_free(&self, node_type: &str, start: SimTime, end: SimTime) -> u32 {
         let capacity = self.site.capacity_of(node_type);
-        // Capacity only changes at lease boundaries; evaluate at the window
-        // start and at every overlapping lease start inside the window.
-        let mut check_points = vec![start];
-        for l in &self.leases {
-            if l.node_type == node_type && l.overlaps(start, end) && l.start.0 > start.0 {
-                check_points.push(l.start);
+        // Usage only rises where a lease starts, so the worst case is at the
+        // window start or at a lease start inside the window. Sweep the
+        // boundaries inside the window in time order, ends before starts at
+        // the same instant (a lease holds `[start, end)`).
+        let mut used: i64 = 0;
+        let mut boundaries: Vec<(f64, i64)> = Vec::new();
+        for &i in &self.live {
+            let l = &self.leases[i];
+            if l.node_type != node_type || !l.overlaps(start, end) {
+                continue;
+            }
+            let nodes = i64::from(l.nodes);
+            if l.start.0 <= start.0 {
+                used += nodes;
+            } else {
+                boundaries.push((l.start.0, nodes));
+            }
+            if l.end.0 < end.0 {
+                boundaries.push((l.end.0, -nodes));
             }
         }
-        check_points
-            .into_iter()
-            .map(|t| {
-                let used: u32 = self
-                    .leases
-                    .iter()
-                    .filter(|l| {
-                        l.node_type == node_type
-                            && l.state != LeaseState::Ended
-                            && l.start.0 <= t.0
-                            && t.0 < l.end.0
-                    })
-                    .map(|l| l.nodes)
-                    .sum();
-                capacity.saturating_sub(used)
-            })
-            .min()
-            .unwrap_or(capacity)
+        boundaries.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut peak = used;
+        for (_, delta) in boundaries {
+            used += delta;
+            peak = peak.max(used);
+        }
+        let peak = u32::try_from(peak).unwrap_or(u32::MAX);
+        capacity.saturating_sub(peak)
     }
 
     /// Request an advance reservation.
@@ -133,6 +151,37 @@ impl ReservationSystem {
         nodes: u32,
         start: SimTime,
         end: SimTime,
+    ) -> Result<LeaseId, ReservationError> {
+        let state = if start.0 <= 0.0 {
+            LeaseState::Active
+        } else {
+            LeaseState::Pending
+        };
+        self.admit(project, node_type, nodes, start, end, state)
+    }
+
+    /// On-demand request: starts `now`, runs for `duration`. The lease is
+    /// `Active` from admission.
+    pub fn on_demand(
+        &mut self,
+        project: &str,
+        node_type: &str,
+        nodes: u32,
+        now: SimTime,
+        duration: SimDuration,
+    ) -> Result<LeaseId, ReservationError> {
+        let end = now + duration;
+        self.admit(project, node_type, nodes, now, end, LeaseState::Active)
+    }
+
+    fn admit(
+        &mut self,
+        project: &str,
+        node_type: &str,
+        nodes: u32,
+        start: SimTime,
+        end: SimTime,
+        state: LeaseState,
     ) -> Result<LeaseId, ReservationError> {
         if end.0 <= start.0 {
             return Err(ReservationError::InvalidWindow);
@@ -147,8 +196,8 @@ impl ReservationSystem {
                 requested: nodes,
             });
         }
-        let id = LeaseId(self.next_id);
-        self.next_id += 1;
+        let id = LeaseId(self.leases.len() as u64 + 1);
+        self.live.push(self.leases.len());
         self.leases.push(Lease {
             id,
             project: project.to_string(),
@@ -156,45 +205,32 @@ impl ReservationSystem {
             nodes,
             start,
             end,
-            state: if start.0 <= 0.0 {
-                LeaseState::Active
-            } else {
-                LeaseState::Pending
-            },
+            state,
         });
         Ok(id)
     }
 
-    /// On-demand request: starts `now`, runs for `duration`.
-    pub fn on_demand(
-        &mut self,
-        project: &str,
-        node_type: &str,
-        nodes: u32,
-        now: SimTime,
-        duration: SimDuration,
-    ) -> Result<LeaseId, ReservationError> {
-        self.reserve(project, node_type, nodes, now, now + duration)
-    }
-
     /// Progress lease states to `now` (Pending→Active→Ended).
     pub fn advance_time(&mut self, now: SimTime) {
-        for l in &mut self.leases {
-            if l.state != LeaseState::Ended {
-                if now.0 >= l.end.0 {
-                    l.state = LeaseState::Ended;
-                } else if now.0 >= l.start.0 {
-                    l.state = LeaseState::Active;
-                }
+        let leases = &mut self.leases;
+        self.live.retain(|&i| {
+            let l = &mut leases[i];
+            if now.0 >= l.end.0 {
+                l.state = LeaseState::Ended;
+            } else if now.0 >= l.start.0 {
+                l.state = LeaseState::Active;
             }
-        }
+            l.state != LeaseState::Ended
+        });
     }
 
     /// End a lease early (frees capacity from `now`).
     pub fn terminate(&mut self, id: LeaseId, now: SimTime) {
-        if let Some(l) = self.leases.iter_mut().find(|l| l.id == id) {
+        if let Some(i) = self.position(id) {
+            let l = &mut self.leases[i];
             l.end = now.min(l.end);
             l.state = LeaseState::Ended;
+            self.live.retain(|&j| j != i);
         }
     }
 }
@@ -334,6 +370,29 @@ mod tests {
         assert_eq!(rs.lease(id).unwrap().state, LeaseState::Active);
         rs.advance_time(t(25.0));
         assert_eq!(rs.lease(id).unwrap().state, LeaseState::Ended);
+    }
+
+    #[test]
+    fn on_demand_lease_is_active_from_admission() {
+        let mut rs = ReservationSystem::new(tiny_site());
+        let id = rs
+            .on_demand("p", "gpu_v100", 1, t(100.0), SimDuration::from_secs(50.0))
+            .unwrap();
+        assert_eq!(rs.lease(id).unwrap().state, LeaseState::Active);
+    }
+
+    #[test]
+    fn lease_ids_index_in_admission_order() {
+        let mut rs = ReservationSystem::new(tiny_site());
+        let a = rs.reserve("a", "gpu_v100", 1, t(0.0), t(10.0)).unwrap();
+        assert!(rs.reserve("x", "gpu_v100", 9, t(0.0), t(10.0)).is_err());
+        let b = rs.reserve("b", "gpu_v100", 1, t(5.0), t(10.0)).unwrap();
+        assert_eq!((a, b), (LeaseId(1), LeaseId(2)));
+        assert_eq!(rs.lease(b).unwrap().project, "b");
+        assert!(rs.lease(LeaseId(0)).is_none());
+        assert!(rs.lease(LeaseId(3)).is_none());
+        rs.terminate(LeaseId(3), t(1.0));
+        assert_eq!(rs.leases().len(), 2);
     }
 
     #[test]

@@ -530,7 +530,7 @@ impl Pipeline {
         let checkpoint = |obs: &mut Obs, stage: &str| {
             obs.event(
                 "checkpoint",
-                vec![("stage".to_string(), AttrValue::Str(stage.to_string()))],
+                vec![("stage", AttrValue::Str(stage.to_string()))],
             );
         };
 
@@ -643,10 +643,7 @@ impl Pipeline {
         });
         obs.event(
             "gpu-selected",
-            vec![(
-                "gpu".to_string(),
-                AttrValue::Str(gpu_used.name().to_string()),
-            )],
+            vec![("gpu", AttrValue::Str(gpu_used.name().to_string()))],
         );
         checkpoint(obs, "reserve");
         obs.end_span(reserve_span);

@@ -226,12 +226,9 @@ impl ContainerRuntime {
                 obs.event(
                     "container-started",
                     vec![
-                        ("image".to_string(), AttrValue::Str(image.name.clone())),
-                        ("warm".to_string(), AttrValue::Bool(warm)),
-                        (
-                            "launch_s".to_string(),
-                            AttrValue::F64(launch_time.as_secs()),
-                        ),
+                        ("image", AttrValue::Str(image.name.clone())),
+                        ("warm", AttrValue::Bool(warm)),
+                        ("launch_s", AttrValue::F64(launch_time.as_secs())),
                     ],
                 );
             }
@@ -239,8 +236,8 @@ impl ContainerRuntime {
                 obs.event(
                     "edge-launch-failed",
                     vec![
-                        ("image".to_string(), AttrValue::Str(image.name.clone())),
-                        ("error".to_string(), AttrValue::Str(err.to_string())),
+                        ("image", AttrValue::Str(image.name.clone())),
+                        ("error", AttrValue::Str(err.to_string())),
                     ],
                 );
             }

@@ -143,9 +143,9 @@ impl ResumableTransfer {
             obs.event(
                 "transfer-failed",
                 vec![
-                    ("op".to_string(), AttrValue::Str(op.to_string())),
-                    ("failure".to_string(), AttrValue::Str(failure.to_string())),
-                    ("charged_s".to_string(), AttrValue::F64(charged.as_secs())),
+                    ("op", AttrValue::Str(op.to_string())),
+                    ("failure", AttrValue::Str(failure.to_string())),
+                    ("charged_s", AttrValue::F64(charged.as_secs())),
                 ],
             );
         }

@@ -174,9 +174,9 @@ impl Trainer {
                 o.event(
                     "epoch",
                     vec![
-                        ("epoch".to_string(), AttrValue::Int(epoch as i64)),
-                        ("train_loss".to_string(), AttrValue::F64(f64::from(train_loss))),
-                        ("val_loss".to_string(), AttrValue::F64(f64::from(val_loss))),
+                        ("epoch", AttrValue::Int(epoch as i64)),
+                        ("train_loss", AttrValue::F64(f64::from(train_loss))),
+                        ("val_loss", AttrValue::F64(f64::from(val_loss))),
                     ],
                 );
                 o.observe_with("nn.epoch_train_loss", LOSS_BUCKETS, f64::from(train_loss));
@@ -204,10 +204,7 @@ impl Trainer {
             if stopped_early {
                 o.event(
                     "early-stop",
-                    vec![(
-                        "best_epoch".to_string(),
-                        AttrValue::Int(best_epoch as i64),
-                    )],
+                    vec![("best_epoch", AttrValue::Int(best_epoch as i64))],
                 );
             }
             o.counter_add("nn.examples_seen", examples_seen);

@@ -51,7 +51,7 @@ fn json_attr(value: &AttrValue) -> String {
     }
 }
 
-fn json_args(attrs: &[(String, AttrValue)]) -> String {
+fn json_args(attrs: &[(&str, AttrValue)]) -> String {
     let body: Vec<String> = attrs
         .iter()
         .map(|(k, v)| format!("\"{}\":{}", escape(k), json_attr(v)))
@@ -81,7 +81,7 @@ pub fn chrome_trace(trace: &Trace) -> String {
             span.seq,
             format!(
                 "{{\"name\":\"{}\",\"cat\":\"sim\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":1,\"args\":{}}}",
-                escape(&span.name),
+                escape(span.name),
                 to_us(start),
                 to_us(dur),
                 json_args(&span.attrs)
@@ -93,7 +93,7 @@ pub fn chrome_trace(trace: &Trace) -> String {
             event.seq,
             format!(
                 "{{\"name\":\"{}\",\"cat\":\"sim\",\"ph\":\"i\",\"ts\":{},\"s\":\"t\",\"pid\":1,\"tid\":1,\"args\":{}}}",
-                escape(&event.name),
+                escape(event.name),
                 to_us(event.at.as_secs()),
                 json_args(&event.attrs)
             ),
@@ -145,7 +145,7 @@ pub fn summary(trace: &Trace, metrics: &MetricsRegistry) -> String {
                 totals[i].1 += dur;
             }
             None => {
-                names.push(&span.name);
+                names.push(span.name);
                 totals.push((1, dur));
             }
         }
@@ -192,7 +192,7 @@ mod tests {
         trace.event(
             "fault",
             t(1.5),
-            vec![("kind".to_string(), AttrValue::Str("link \"flap\"".to_string()))],
+            vec![("kind", AttrValue::Str("link \"flap\"".to_string()))],
         );
         trace.end_span(stage, t(2.0));
         trace.end_span(root, t(2.0));

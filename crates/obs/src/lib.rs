@@ -100,7 +100,7 @@ impl Obs {
     }
 
     /// Open a span at the cursor, nested under the innermost open span.
-    pub fn begin_span(&mut self, name: &str) -> SpanId {
+    pub fn begin_span(&mut self, name: &'static str) -> SpanId {
         let id = self.trace.begin_span(name, self.now);
         self.flight.record(self.now, format!("begin {name}"));
         id
@@ -108,24 +108,19 @@ impl Obs {
 
     /// Close `id` at the cursor (children still open close with it).
     pub fn end_span(&mut self, id: SpanId) {
-        let name = self
-            .trace
-            .spans()
-            .get(id.0)
-            .map(|s| s.name.clone())
-            .unwrap_or_default();
+        let name = self.trace.spans().get(id.0).map_or("", |s| s.name);
         self.trace.end_span(id, self.now);
         self.flight.record(self.now, format!("end {name}"));
     }
 
     /// Attach a typed attribute to a span.
-    pub fn span_attr(&mut self, id: SpanId, key: &str, value: AttrValue) {
+    pub fn span_attr(&mut self, id: SpanId, key: &'static str, value: AttrValue) {
         self.trace.span_attr(id, key, value);
     }
 
     /// Record an instant event at the cursor, mirrored into the flight
     /// ring as `name key=value ...`.
-    pub fn event(&mut self, name: &str, attrs: Attrs) {
+    pub fn event(&mut self, name: &'static str, attrs: Attrs) {
         let mut line = String::from(name);
         for (k, v) in &attrs {
             line.push(' ');
@@ -188,9 +183,9 @@ impl Obs {
             self.event(
                 "fault",
                 vec![
-                    ("site".to_string(), AttrValue::Str(f.site.name().to_string())),
-                    ("op".to_string(), AttrValue::Str(f.op.clone())),
-                    ("kind".to_string(), AttrValue::Str(f.kind.to_string())),
+                    ("site", AttrValue::Str(f.site.name().to_string())),
+                    ("op", AttrValue::Str(f.op.clone())),
+                    ("kind", AttrValue::Str(f.kind.to_string())),
                 ],
             );
         }
@@ -250,7 +245,10 @@ mod tests {
         let mut obs = Obs::new();
         let root = obs.begin_span("pipeline");
         obs.advance(SimDuration::from_secs(10.0));
-        obs.event("checkpoint", vec![("stage".into(), AttrValue::Str("collect".into()))]);
+        obs.event(
+            "checkpoint",
+            vec![("stage", AttrValue::Str("collect".into()))],
+        );
         obs.advance(SimDuration::from_secs(5.0));
         obs.end_span(root);
 
@@ -265,7 +263,7 @@ mod tests {
     fn flight_ring_mirrors_boundaries_and_events() {
         let mut obs = Obs::new();
         let s = obs.begin_span("train");
-        obs.event("epoch", vec![("n".into(), AttrValue::Int(1))]);
+        obs.event("epoch", vec![("n", AttrValue::Int(1))]);
         obs.end_span(s);
         let lines: Vec<String> = obs.flight().entries().map(|e| e.line.clone()).collect();
         assert_eq!(lines, vec!["begin train", "epoch n=1", "end train"]);

@@ -65,14 +65,16 @@ impl AttrValue {
     }
 }
 
-/// A named `(key, value)` attribute list, in insertion order.
-pub type Attrs = Vec<(String, AttrValue)>;
+/// A named `(key, value)` attribute list, in insertion order. Keys are
+/// `&'static str`: every instrumentation site names its attributes with a
+/// literal, so a record carries a pointer instead of a heap copy.
+pub type Attrs = Vec<(&'static str, AttrValue)>;
 
 /// One span: named work with a start and (once closed) an end instant.
 #[derive(Debug, Clone)]
 pub struct Span {
     /// What the span covers (stage or operation name).
-    pub name: String,
+    pub name: &'static str,
     /// The enclosing span, if any.
     pub parent: Option<SpanId>,
     /// When the work began, on the simulated timeline.
@@ -90,7 +92,7 @@ pub struct Span {
 #[derive(Debug, Clone)]
 pub struct Event {
     /// What happened.
-    pub name: String,
+    pub name: &'static str,
     /// The span it happened inside, if any.
     pub parent: Option<SpanId>,
     /// When it happened.
@@ -118,11 +120,11 @@ impl Trace {
 
     /// Open a span named `name` starting `at`, nested under the innermost
     /// open span.
-    pub fn begin_span(&mut self, name: &str, at: SimTime) -> SpanId {
+    pub fn begin_span(&mut self, name: &'static str, at: SimTime) -> SpanId {
         let id = SpanId(self.spans.len());
         let seq = self.next_seq();
         self.spans.push(Span {
-            name: name.to_string(),
+            name,
             parent: self.open.last().copied(),
             start: at,
             end: None,
@@ -156,18 +158,18 @@ impl Trace {
 
     /// Attach an attribute to `id`. Unknown ids are ignored (the arena
     /// never panics mid-run).
-    pub fn span_attr(&mut self, id: SpanId, key: &str, value: AttrValue) {
+    pub fn span_attr(&mut self, id: SpanId, key: &'static str, value: AttrValue) {
         if let Some(span) = self.spans.get_mut(id.0) {
-            span.attrs.push((key.to_string(), value));
+            span.attrs.push((key, value));
         }
     }
 
     /// Record an instant event `at`, parented on the innermost open span.
-    pub fn event(&mut self, name: &str, at: SimTime, attrs: Attrs) {
+    pub fn event(&mut self, name: &'static str, at: SimTime, attrs: Attrs) {
         let parent = self.open.last().copied();
         let seq = self.next_seq();
         self.events.push(Event {
-            name: name.to_string(),
+            name,
             parent,
             at,
             attrs,
@@ -220,7 +222,7 @@ impl Trace {
 
 /// Attribute lookup by key (first match), shared by the trace views.
 pub fn attr<'a>(attrs: &'a Attrs, key: &str) -> Option<&'a AttrValue> {
-    attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
 }
 
 #[cfg(test)]

@@ -21,4 +21,4 @@ pub mod metrics;
 pub use artifact::{Artifact, Cell, CellKind, Notebook, Version};
 pub use contrib::{ContributionHub, Fork, MergeRequest, MergeStatus};
 pub use hub::TroviHub;
-pub use metrics::{ArtifactMetrics, Event, EventKind, EventLog};
+pub use metrics::{ArtifactMetrics, EventKind, EventLog};

@@ -5,23 +5,18 @@
 //! defined as the execution of at least one cell in the artifact
 //! packaging"*. The advantage the paper stresses is that these are
 //! collected automatically, as a side effect of platform use — which is
-//! exactly how this module works: the hub appends events, the rollup is
-//! derived.
+//! exactly how this module works: the hub appends events, and every
+//! [`EventLog::record`] also brings that artifact's running funnel up to
+//! date, so a rollup is a lookup however long the log has grown. The
+//! append-only log stays the source of truth: it is what serialises, and
+//! deserialising replays it to rebuild the funnels.
 
 use autolearn_util::rng::derive_rng;
 use autolearn_util::SimTime;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
-
-/// One interaction with an artifact.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Event {
-    pub user: String,
-    pub artifact: String,
-    pub kind: EventKind,
-    pub at: SimTime,
-}
+use serde::{Deserialize, Error, Serialize, Value};
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EventKind {
@@ -33,14 +28,96 @@ pub enum EventKind {
     CellExecution,
 }
 
-/// Append-only event log.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// Dense ids for repeated names: id `i` is the `i`-th distinct name seen.
+/// The map is lookup-only; `names` gives the ids back their spelling in
+/// id order.
+#[derive(Debug, Clone, Default)]
+struct Interner {
+    ids: HashMap<Arc<str>, u32>,
+    names: Vec<Arc<str>>,
+}
+
+impl Interner {
+    fn intern(&mut self, name: &str) -> u32 {
+        if let Some(&id) = self.ids.get(name) {
+            return id;
+        }
+        // Ids are u32 to keep a logged event at 24 bytes; past 2^32 names
+        // failing loudly beats handing out an id that aliases another.
+        assert!(self.names.len() < u32::MAX as usize, "interner full");
+        let id = self.names.len() as u32;
+        let name: Arc<str> = Arc::from(name);
+        self.names.push(Arc::clone(&name));
+        self.ids.insert(name, id);
+        id
+    }
+
+    fn id(&self, name: &str) -> Option<u32> {
+        self.ids.get(name).copied()
+    }
+
+    fn name(&self, id: u32) -> &str {
+        &self.names[id as usize]
+    }
+}
+
+/// One logged interaction, with user and artifact interned.
+#[derive(Debug, Clone, Copy)]
+struct Logged {
+    user: u32,
+    artifact: u32,
+    kind: EventKind,
+    at: SimTime,
+}
+
+/// One artifact's funnel, kept up to date on every [`EventLog::record`].
+#[derive(Debug, Clone, Default)]
+struct Funnel {
+    views: usize,
+    launch_clicks: usize,
+    cell_executions: usize,
+    clickers: HashSet<u32>,
+    executors: HashSet<u32>,
+}
+
+impl Funnel {
+    fn count(&mut self, user: u32, kind: EventKind) {
+        match kind {
+            EventKind::View => self.views += 1,
+            EventKind::LaunchClick => {
+                self.launch_clicks += 1;
+                self.clickers.insert(user);
+            }
+            EventKind::CellExecution => {
+                self.cell_executions += 1;
+                self.executors.insert(user);
+            }
+        }
+    }
+
+    fn metrics(&self) -> ArtifactMetrics {
+        ArtifactMetrics {
+            views: self.views,
+            launch_clicks: self.launch_clicks,
+            unique_launch_users: self.clickers.len(),
+            users_executed: self.executors.len(),
+            cell_executions: self.cell_executions,
+        }
+    }
+}
+
+/// Append-only event log plus the per-artifact funnels derived from it.
+#[derive(Debug, Clone, Default)]
 pub struct EventLog {
-    events: Vec<Event>,
+    events: Vec<Logged>,
+    users: Interner,
+    artifacts: Interner,
+    /// Indexed by artifact id.
+    funnels: Vec<Funnel>,
 }
 
 /// The §5 rollup for one artifact.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ArtifactMetrics {
     pub views: usize,
     pub launch_clicks: usize,
@@ -50,15 +127,66 @@ pub struct ArtifactMetrics {
     pub cell_executions: usize,
 }
 
+/// How one event is written out: names spelled in full, so a serialised
+/// log reads on its own and does not depend on interning order.
+#[derive(Serialize, Deserialize)]
+struct WireEvent {
+    user: String,
+    artifact: String,
+    kind: EventKind,
+    at: SimTime,
+}
+
+#[derive(Serialize, Deserialize)]
+struct WireLog {
+    events: Vec<WireEvent>,
+}
+
+impl Serialize for EventLog {
+    fn serialize(&self) -> Value {
+        let events = self
+            .events
+            .iter()
+            .map(|e| WireEvent {
+                user: self.users.name(e.user).to_string(),
+                artifact: self.artifacts.name(e.artifact).to_string(),
+                kind: e.kind,
+                at: e.at,
+            })
+            .collect();
+        WireLog { events }.serialize()
+    }
+}
+
+impl Deserialize for EventLog {
+    /// Replays the log through [`EventLog::record`], which rebuilds the
+    /// interned ids and the funnels.
+    fn deserialize(v: &Value) -> Result<Self, Error> {
+        let wire = WireLog::deserialize(v)?;
+        let mut log = EventLog::new();
+        for e in &wire.events {
+            log.record(&e.user, &e.artifact, e.kind, e.at);
+        }
+        Ok(log)
+    }
+}
+
 impl EventLog {
     pub fn new() -> EventLog {
         EventLog::default()
     }
 
+    /// Append one event and count it into its artifact's funnel.
     pub fn record(&mut self, user: &str, artifact: &str, kind: EventKind, at: SimTime) {
-        self.events.push(Event {
-            user: user.to_string(),
-            artifact: artifact.to_string(),
+        let user = self.users.intern(user);
+        let artifact = self.artifacts.intern(artifact);
+        if artifact as usize == self.funnels.len() {
+            self.funnels.push(Funnel::default());
+        }
+        self.funnels[artifact as usize].count(user, kind);
+        self.events.push(Logged {
+            user,
+            artifact,
             kind,
             at,
         });
@@ -72,33 +200,12 @@ impl EventLog {
         self.events.is_empty()
     }
 
-    /// Roll up the funnel for `artifact`.
+    /// The funnel for `artifact` (all zero for an artifact never seen).
     pub fn metrics_for(&self, artifact: &str) -> ArtifactMetrics {
-        let mut views = 0;
-        let mut clicks = 0;
-        let mut cells = 0;
-        let mut clickers: BTreeSet<&str> = BTreeSet::new();
-        let mut executors: BTreeSet<&str> = BTreeSet::new();
-        for e in self.events.iter().filter(|e| e.artifact == artifact) {
-            match e.kind {
-                EventKind::View => views += 1,
-                EventKind::LaunchClick => {
-                    clicks += 1;
-                    clickers.insert(&e.user);
-                }
-                EventKind::CellExecution => {
-                    cells += 1;
-                    executors.insert(&e.user);
-                }
-            }
-        }
-        ArtifactMetrics {
-            views,
-            launch_clicks: clicks,
-            unique_launch_users: clickers.len(),
-            users_executed: executors.len(),
-            cell_executions: cells,
-        }
+        self.artifacts
+            .id(artifact)
+            .map(|id| self.funnels[id as usize].metrics())
+            .unwrap_or_default()
     }
 
     /// Replay the engagement the paper reports for AutoLearn (§5): 35
@@ -174,6 +281,82 @@ impl EventLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    /// The rollup as a full scan of the log: the definition the running
+    /// funnels must agree with.
+    fn scan_oracle(log: &EventLog, artifact: &str) -> ArtifactMetrics {
+        let mut m = ArtifactMetrics::default();
+        let mut clickers: BTreeSet<&str> = BTreeSet::new();
+        let mut executors: BTreeSet<&str> = BTreeSet::new();
+        for e in log
+            .events
+            .iter()
+            .filter(|e| log.artifacts.name(e.artifact) == artifact)
+        {
+            let user = log.users.name(e.user);
+            match e.kind {
+                EventKind::View => m.views += 1,
+                EventKind::LaunchClick => {
+                    m.launch_clicks += 1;
+                    clickers.insert(user);
+                }
+                EventKind::CellExecution => {
+                    m.cell_executions += 1;
+                    executors.insert(user);
+                }
+            }
+        }
+        m.unique_launch_users = clickers.len();
+        m.users_executed = executors.len();
+        m
+    }
+
+    const KINDS: [EventKind; 3] = [
+        EventKind::View,
+        EventKind::LaunchClick,
+        EventKind::CellExecution,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random logs over a few artifacts with repeated users roll up
+        /// exactly as the full scan does, after every event and after a
+        /// round trip through JSON.
+        #[test]
+        fn running_funnels_match_the_scan(
+            events in prop::collection::vec((0usize..7, 0usize..4, 0usize..3), 0..120),
+        ) {
+            let artifacts = ["a0", "a1", "a2", "a3"];
+            let mut log = EventLog::new();
+            for (i, &(user, artifact, kind)) in events.iter().enumerate() {
+                let name = artifacts[artifact];
+                log.record(&format!("u{user}"), name, KINDS[kind], SimTime::from_secs(i as f64));
+                prop_assert_eq!(log.metrics_for(name), scan_oracle(&log, name));
+            }
+            let json = serde_json::to_string(&log).unwrap();
+            let back: EventLog = serde_json::from_str(&json).unwrap();
+            prop_assert_eq!(back.len(), log.len());
+            prop_assert_eq!(serde_json::to_string(&back).unwrap(), json);
+            for name in artifacts.iter().chain(["never-seen"].iter()) {
+                let expected = scan_oracle(&log, name);
+                prop_assert_eq!(log.metrics_for(name), expected.clone());
+                prop_assert_eq!(back.metrics_for(name), expected);
+            }
+        }
+    }
+
+    #[test]
+    fn serialised_log_spells_names_out() {
+        let mut log = EventLog::new();
+        log.record("alice", "art", EventKind::View, SimTime::from_secs(1.5));
+        assert_eq!(
+            serde_json::to_string(&log).unwrap(),
+            r#"{"events":[{"user":"alice","artifact":"art","kind":"View","at":1.5}]}"#
+        );
+    }
 
     #[test]
     fn paper_funnel_reproduced_exactly() {

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The full local CI gate: release build, the complete workspace test suite,
-# the benchmark build check, and the static-analysis gate — everything a
-# change must pass before merging.
+# the benchmark build check and fleet smoke, and the static-analysis gate —
+# everything a change must pass before merging.
 #
 #   scripts/ci.sh
 #
@@ -28,6 +28,13 @@ echo "== ci: benchmark build check =="
 # next benchmark run. --locked keeps its Cargo.lock untouched.
 cargo check --release --locked --offline --manifest-path perfbench/Cargo.toml \
     --target-dir .bench_build || status=$?
+
+echo
+echo "== ci: fleet benchmark smoke =="
+# One short fleet through the benchmark harness. It exits 0 only when every
+# fleet output check passed: each rollup equals the sessions run so far and
+# live leases never exceed the pool's capacity.
+python3 perfbench/run.py --workload fleet --seed 1 --seconds 2 --trace 0 || status=$?
 
 echo
 echo "== ci: static-analysis gate =="

@@ -7,8 +7,9 @@ use autolearn_cloud::provision::{ProvisionState, Provisioner, ProvisioningPlan};
 use autolearn_cloud::reservation::ReservationSystem;
 use autolearn_edge::{ByodWorkflow, ContainerRuntime, DeviceKind, DeviceState, EdgeDevice, ImageSpec};
 use autolearn_net::{transfer_time, Path, TransferSpec};
-use autolearn_trovi::{Artifact, ContributionHub, EventKind, EventLog};
-use autolearn_util::{Bytes, SimClock, SimTime};
+use autolearn_trovi::{Artifact, ArtifactMetrics, ContributionHub, EventKind, EventLog, TroviHub};
+use autolearn_util::{Bytes, SimClock, SimDuration, SimTime};
+use std::collections::VecDeque;
 
 #[test]
 fn classroom_provisioning_day() {
@@ -141,4 +142,78 @@ fn inference_rpc_fits_the_control_budget_only_nearby() {
     let wan = Path::new(vec![Link::fabric_with_latency(0.1)]);
     let t = rpc_round_trip(&wan, Bytes::new(1200), Bytes::new(16));
     assert!(t.as_millis() > 50.0, "WAN RPC {t}");
+}
+
+#[test]
+fn ten_thousand_sessions_on_one_hub_and_calendar() {
+    // A term's worth of students on one hub and one reservation calendar:
+    // each views and launches the artifact, runs its five code cells, and
+    // asks for an on-demand 4 h GPU lease, arriving every ~360 s (40 nodes
+    // / 4 h). Every rollup and admission must be exact, and the per-session
+    // cost must not grow with the sessions already served: scanning the
+    // whole history each time makes this test quadratic.
+    const SESSIONS: usize = 10_000;
+    const NODE: &str = "gpu_rtx6000";
+    let slug = Artifact::autolearn_example().slug;
+    let mut hub = TroviHub::new();
+    hub.publish(Artifact::autolearn_example());
+    let mut rs = ReservationSystem::new(Site::chameleon());
+    let capacity = rs.site().capacity_of(NODE);
+    let lease = SimDuration::from_hours(4.0);
+    // End times of the leases still running, in admission order (every
+    // lease has the same length, so they also end in this order).
+    let mut running: VecDeque<SimTime> = VecDeque::new();
+    let (mut leased, mut refused) = (0usize, 0usize);
+    let mut now = SimTime::ZERO;
+    for i in 0..SESSIONS {
+        let user = format!("student-{i:05}");
+        hub.view(&user, &slug, now);
+        assert!(hub.launch(&user, &slug, now));
+        let mut executed = 0;
+        for (nb, cells) in [3, 3, 2].into_iter().enumerate() {
+            for cell in 0..cells {
+                executed += usize::from(hub.execute_cell(&user, &slug, nb, cell, now));
+            }
+        }
+        assert_eq!(executed, 5);
+
+        rs.advance_time(now);
+        while running.front().is_some_and(|end| end.0 <= now.0) {
+            running.pop_front();
+        }
+        let free = capacity - running.len() as u32;
+        assert_eq!(rs.min_free(NODE, now, now + lease), free);
+        match rs.on_demand(&user, NODE, 1, now, lease) {
+            Ok(_) => {
+                assert!(free >= 1, "session {i} admitted with no node free");
+                running.push_back(now + lease);
+                leased += 1;
+            }
+            Err(_) => {
+                assert_eq!(free, 0, "session {i} refused with {free} nodes free");
+                refused += 1;
+            }
+        }
+        assert!(running.len() <= capacity as usize);
+
+        let n = i + 1;
+        assert_eq!(
+            hub.events.metrics_for(&slug),
+            ArtifactMetrics {
+                views: n,
+                launch_clicks: n,
+                unique_launch_users: n,
+                users_executed: n,
+                cell_executions: 5 * n,
+            },
+            "rollup after session {i}"
+        );
+        now += SimDuration::from_secs(180.0 + ((i * 37) % 361) as f64);
+    }
+    assert_eq!(hub.events.len(), SESSIONS * 7);
+    assert_eq!(leased + refused, SESSIONS);
+    assert!(
+        leased > SESSIONS / 2 && refused > 0,
+        "{leased} leased, {refused} refused"
+    );
 }
