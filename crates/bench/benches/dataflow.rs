@@ -26,24 +26,23 @@ fn records(n: usize) -> Vec<Record> {
 }
 
 fn bench_tub_io(c: &mut Criterion) {
+    // The criterion shim has no `iter_with_setup`, so each iteration also
+    // creates its fresh tub directory and records; the 100 file writes
+    // dominate.
     c.bench_function("tub_write_100_records", |bench| {
-        bench.iter_with_setup(
-            || {
-                let dir = std::env::temp_dir().join(format!(
-                    "autolearn-bench-{}-{}",
-                    std::process::id(),
-                    rand::random::<u64>()
-                ));
-                (Tub::create(&dir).unwrap(), records(100), dir)
-            },
-            |(mut tub, recs, dir)| {
-                for r in recs {
-                    tub.write_record(r).unwrap();
-                }
-                drop(tub);
-                let _ = std::fs::remove_dir_all(dir);
-            },
-        )
+        bench.iter(|| {
+            let dir = std::env::temp_dir().join(format!(
+                "autolearn-bench-{}-{}",
+                std::process::id(),
+                rand::random::<u64>()
+            ));
+            let mut tub = Tub::create(&dir).unwrap();
+            for r in records(100) {
+                tub.write_record(r).unwrap();
+            }
+            drop(tub);
+            let _ = std::fs::remove_dir_all(dir);
+        })
     });
 }
 

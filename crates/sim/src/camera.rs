@@ -78,12 +78,15 @@ impl CameraConfig {
 
 const BACKGROUND: [u8; 3] = [190, 195, 200]; // walls/sky beyond the floor
 
-/// The camera: precomputes per-pixel normalised ray coordinates.
+/// The camera: precomputes where each pixel's ray meets the ground.
 pub struct Camera {
     pub config: CameraConfig,
-    // Normalised image-plane coordinates per column / row.
+    /// Per column, the normalised image-plane coordinate.
     xn: Vec<f64>,
-    yn: Vec<f64>,
+    /// Per row, the ground distance ahead of the camera its rays reach and
+    /// the ray parameter there, or `None` for rows above the horizon or
+    /// beyond `max_distance`.
+    rows: Vec<Option<(f64, f64)>>,
     rng: StdRng,
 }
 
@@ -92,13 +95,23 @@ impl Camera {
         let f = (config.width as f64 / 2.0) / (config.hfov / 2.0).tan();
         let cx = (config.width as f64 - 1.0) / 2.0;
         let cy = (config.height as f64 - 1.0) / 2.0;
+        let (sin_p, cos_p) = config.pitch.sin_cos();
         let xn = (0..config.width).map(|u| (u as f64 - cx) / f).collect();
-        let yn = (0..config.height).map(|v| (v as f64 - cy) / f).collect();
+        let rows = (0..config.height)
+            .map(|v| {
+                let yn = (v as f64 - cy) / f;
+                // Vertical ray component (positive = downward-looking).
+                let down = yn * cos_p + sin_p;
+                let t = config.mount_height / down;
+                let ahead = t * (cos_p - yn * sin_p);
+                (down > 1e-6 && ahead > 0.0 && ahead <= config.max_distance).then_some((ahead, t))
+            })
+            .collect();
         let rng = derive_rng(config.seed, "camera");
         Camera {
             config,
             xn,
-            yn,
+            rows,
             rng,
         }
     }
@@ -111,6 +124,10 @@ impl Camera {
     /// Render the view including obstacles (drawn as coloured ground
     /// disks — adequate at these resolutions for the obstacle-detection
     /// exercises).
+    ///
+    /// Each row's ground distance and ray parameter are precomputed, so a
+    /// ground pixel costs a few multiply-adds to place it in the world and
+    /// one [`Track::surface_at`] lookup in the track's surface raster.
     pub fn render_scene(
         &mut self,
         track: &Track,
@@ -119,35 +136,25 @@ impl Camera {
     ) -> Image {
         let cfg = &self.config;
         let mut img = Image::new(cfg.width, cfg.height, cfg.channels);
-        let (sin_p, cos_p) = cfg.pitch.sin_cos();
         let fwd = Vec2::from_angle(state.heading);
         let left = fwd.perp();
         let cam_pos = state.pos + fwd * cfg.mount_forward;
 
-        // Rows are independent: parallelise the per-pixel ground projection
-        // (the hot kernel at DonkeyCar's full 160x120 resolution).
+        // Rows are independent, but the vendored rayon shim runs them in
+        // order (shims/README.md).
         use rayon::prelude::*;
         let (width, channels) = (cfg.width, cfg.channels);
-        let xn = &self.xn;
-        let yn = &self.yn;
+        let (xn, rows) = (&self.xn, &self.rows);
         img.data
             .par_chunks_mut(width * channels)
             .enumerate()
             .for_each(|(v, row)| {
-                let yn_v = yn[v];
-                // Vertical ray component (positive = downward-looking).
-                let down = yn_v * cos_p + sin_p;
+                let ground = rows[v].map(|(d, t)| (cam_pos + fwd * d, t));
                 for u in 0..width {
-                    let color = if down <= 1e-6 {
-                        BACKGROUND
-                    } else {
-                        let t = cfg.mount_height / down;
-                        let forward_dist = t * (cos_p - yn_v * sin_p);
-                        if forward_dist <= 0.0 || forward_dist > cfg.max_distance {
-                            BACKGROUND
-                        } else {
-                            let left_dist = -t * xn[u];
-                            let p = cam_pos + fwd * forward_dist + left * left_dist;
+                    let color = match ground {
+                        None => BACKGROUND,
+                        Some((ahead, t)) => {
+                            let p = ahead + left * (-t * xn[u]);
                             match obstacles.iter().find(|o| p.dist(o.pos) <= o.radius) {
                                 Some(o) => o.color,
                                 None => track.surface_at(p).color(),
@@ -173,11 +180,80 @@ impl Camera {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::world::Obstacle;
     use autolearn_track::{circle_track, paper_oval, Surface};
 
     fn on_track_state(track: &Track) -> VehicleState {
         let (pos, heading) = track.start_pose();
         VehicleState::at(pos, heading)
+    }
+
+    /// The frame as the renderer drew it before the per-row ray table and
+    /// the surface raster: ray arithmetic per pixel, exact classifier.
+    fn render_exact(
+        cfg: &CameraConfig,
+        track: &Track,
+        obstacles: &[Obstacle],
+        state: &VehicleState,
+    ) -> Image {
+        let mut img = Image::new(cfg.width, cfg.height, cfg.channels);
+        let f = (cfg.width as f64 / 2.0) / (cfg.hfov / 2.0).tan();
+        let cx = (cfg.width as f64 - 1.0) / 2.0;
+        let cy = (cfg.height as f64 - 1.0) / 2.0;
+        let (sin_p, cos_p) = cfg.pitch.sin_cos();
+        let fwd = Vec2::from_angle(state.heading);
+        let left = fwd.perp();
+        let cam_pos = state.pos + fwd * cfg.mount_forward;
+        for v in 0..cfg.height {
+            let yn_v = (v as f64 - cy) / f;
+            let down = yn_v * cos_p + sin_p;
+            for u in 0..cfg.width {
+                let color = if down <= 1e-6 {
+                    BACKGROUND
+                } else {
+                    let t = cfg.mount_height / down;
+                    let forward_dist = t * (cos_p - yn_v * sin_p);
+                    if forward_dist <= 0.0 || forward_dist > cfg.max_distance {
+                        BACKGROUND
+                    } else {
+                        let left_dist = -t * ((u as f64 - cx) / f);
+                        let p = cam_pos + fwd * forward_dist + left * left_dist;
+                        match obstacles.iter().find(|o| p.dist(o.pos) <= o.radius) {
+                            Some(o) => o.color,
+                            None => track.surface_at_exact(p).color(),
+                        }
+                    }
+                };
+                for c in 0..cfg.channels {
+                    img.data[(v * cfg.width + u) * cfg.channels + c] = color[c.min(2)];
+                }
+            }
+        }
+        img
+    }
+
+    #[test]
+    fn render_matches_exact_classifier_byte_for_byte() {
+        for cfg in [CameraConfig::default(), CameraConfig::small()] {
+            let mut cam = Camera::new(cfg.clone());
+            for track in [paper_oval(), circle_track(3.0, 0.8)] {
+                let obstacles = [
+                    Obstacle::new(track.offset_point(0.6, 0.1), 0.08),
+                    Obstacle::new(track.offset_point(1.5, -0.3), 0.15),
+                ];
+                for k in 0..6 {
+                    let s = track.length() * k as f64 / 6.0;
+                    // Centred, near the right tape, and well off the track.
+                    for (lateral, twist) in [(0.0, 0.0), (-0.3, 0.4), (1.2, -2.0)] {
+                        let heading = track.heading_at(s) + twist;
+                        let state = VehicleState::at(track.offset_point(s, lateral), heading);
+                        let frame = cam.render_scene(&track, &obstacles, &state);
+                        let exact = render_exact(&cfg, &track, &obstacles, &state);
+                        assert!(frame == exact, "{} frame differs at s={s:.2}", track.name());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

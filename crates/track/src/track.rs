@@ -1,10 +1,14 @@
 //! The `Track` type: a closed centerline with width, arc-length sampling,
 //! fast point projection and surface classification.
 
+mod raster;
+
 use crate::geometry::{point_segment_dist_sq, Vec2};
 use crate::polyline::{cumulative_arclength, curvatures, resample_closed, signed_area, tangents};
 use crate::surface::Surface;
-use serde::{Deserialize, Serialize};
+use raster::SurfaceRaster;
+use serde::{de_field, Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Spacing of the internal resampled centerline, meters. Fine enough that
 /// linear interpolation between samples is below millimetre error on the
@@ -51,7 +55,10 @@ pub struct TrackProjection {
 }
 
 /// A closed driving track.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Serialises its geometry and spatial grid; the surface raster is derived
+/// state, rebuilt on deserialise and shared between clones.
+#[derive(Debug, Clone, Serialize)]
 pub struct Track {
     name: String,
     /// Densely resampled centerline, counter-clockwise.
@@ -72,6 +79,56 @@ pub struct Track {
     grid_cols: usize,
     grid_rows: usize,
     grid: Vec<Vec<u32>>,
+    // Certified surface class per grid sub-cell, behind `surface_at`.
+    #[serde(skip)]
+    raster: Arc<SurfaceRaster>,
+}
+
+impl Deserialize for Track {
+    fn deserialize(v: &serde::Value) -> Result<Track, serde::Error> {
+        let obj = v
+            .as_object()
+            .ok_or_else(|| serde::Error::new("expected object for Track"))?;
+        let mut track = Track {
+            name: de_field(obj, "name")?,
+            center: de_field(obj, "center")?,
+            station: de_field(obj, "station")?,
+            tangent: de_field(obj, "tangent")?,
+            curvature: de_field(obj, "curvature")?,
+            half_width: de_field(obj, "half_width")?,
+            length: de_field(obj, "length")?,
+            grid_origin: de_field(obj, "grid_origin")?,
+            grid_cell: de_field(obj, "grid_cell")?,
+            grid_cols: de_field(obj, "grid_cols")?,
+            grid_rows: de_field(obj, "grid_rows")?,
+            grid: de_field(obj, "grid")?,
+            raster: Arc::default(),
+        };
+        // The raster's proof needs what the constructors guarantee:
+        // stations rising from 0 to at most `length`, and a grid that
+        // indexes only existing samples.
+        let n = track.center.len();
+        let per_sample = [
+            track.station.len(),
+            track.tangent.len(),
+            track.curvature.len(),
+            track.half_width.len(),
+        ];
+        let stations_rise = track.station.first() == Some(&0.0)
+            && track.station.windows(2).all(|w| w[0] <= w[1])
+            && track.station.last().is_some_and(|&s| s <= track.length);
+        if n < 3
+            || per_sample.iter().any(|&len| len != n)
+            || !stations_rise
+            || !(track.grid_cell > 0.0)
+            || Some(track.grid.len()) != track.grid_cols.checked_mul(track.grid_rows)
+            || track.grid.iter().flatten().any(|&ci| ci as usize >= n)
+        {
+            return Err(serde::Error::new("inconsistent Track geometry"));
+        }
+        track.raster = Arc::new(SurfaceRaster::build(&track));
+        Ok(track)
+    }
 }
 
 impl Track {
@@ -131,8 +188,10 @@ impl Track {
             grid_cols: 0,
             grid_rows: 0,
             grid: Vec::new(),
+            raster: Arc::default(),
         };
         track.build_grid();
+        track.raster = Arc::new(SurfaceRaster::build(&track));
         track
     }
 
@@ -267,13 +326,20 @@ impl Track {
         self.offset_point(s, -self.half_width[i])
     }
 
-    /// Visit candidate sample indices near `p` from the spatial grid,
-    /// widening the search ring until non-empty, then scanning one extra
-    /// ring so the true nearest isn't missed just across a cell edge.
-    /// Allocation-free: `project` is called per camera pixel.
-    fn for_candidates(&self, p: Vec2, mut f: impl FnMut(u32)) {
+    /// Visit candidate sample indices near `p` from the spatial grid; see
+    /// [`Track::for_cell_candidates`]. Allocation-free: `project` is called
+    /// per camera pixel in mixed raster sub-cells.
+    fn for_candidates(&self, p: Vec2, f: impl FnMut(u32)) {
         let cx = ((p.x - self.grid_origin.x) / self.grid_cell).floor() as isize;
         let cy = ((p.y - self.grid_origin.y) / self.grid_cell).floor() as isize;
+        self.for_cell_candidates(cx, cy, f);
+    }
+
+    /// Visit the candidate sample indices of grid cell `(cx, cy)`, widening
+    /// the search ring until non-empty, then scanning one extra ring so the
+    /// true nearest isn't missed just across a cell edge. The set depends
+    /// on the cell alone, which the surface raster's proof relies on.
+    fn for_cell_candidates(&self, cx: isize, cy: isize, mut f: impl FnMut(u32)) {
         let max_ring = (self.grid_cols.max(self.grid_rows)) as isize;
 
         let scan_ring = |ring: isize, f: &mut dyn FnMut(u32)| -> bool {
@@ -350,7 +416,33 @@ impl Track {
 
     /// Classify the ground at world point `p`: boundary tape line, drivable
     /// surface, or off-track. The tape is centred on each edge.
+    ///
+    /// A table lookup in the track's surface raster; only points in a
+    /// sub-cell that straddles a class boundary run the exact projection.
+    /// The answer always equals [`Track::surface_at_exact`]'s.
     pub fn surface_at(&self, p: Vec2) -> Surface {
+        // The quotients `for_candidates` floors, so the sub-cell lies inside
+        // the very grid cell whose candidates `project` would scan.
+        let u = (p.x - self.grid_origin.x) / self.grid_cell;
+        let v = (p.y - self.grid_origin.y) / self.grid_cell;
+        let (cu, cv) = (u.floor(), v.floor());
+        // Outside the grid box every segment is more than `max_hw + 1` m
+        // away: off-track, as the exact classifier also says of NaN.
+        if !(cu >= 0.0 && cv >= 0.0 && cu < self.grid_cols as f64 && cv < self.grid_rows as f64) {
+            return Surface::Off;
+        }
+        let cell = cv as usize * self.grid_cols + cu as usize;
+        self.raster
+            .lookup(cell, u - cu, v - cv)
+            .unwrap_or_else(|| self.surface_at_exact(p))
+    }
+
+    /// The exact classifier: project `p`, then compare `|lateral|` with the
+    /// half-width at the projected station. The fallback for mixed raster
+    /// sub-cells and the oracle the raster is tested against; render with
+    /// [`Track::surface_at`].
+    #[doc(hidden)]
+    pub fn surface_at_exact(&self, p: Vec2) -> Surface {
         let proj = self.project(p);
         let i = self.index_at(proj.s);
         let hw = self.half_width[i];
@@ -537,7 +629,8 @@ mod tests {
     #[test]
     fn serde_roundtrip_preserves_queries() {
         // Tracks ship inside artifacts/object-store blobs; projection must
-        // survive (the spatial grid serialises with the track).
+        // survive (the spatial grid serialises with the track, the surface
+        // raster is rebuilt).
         let t = circle_track(3.0, 0.7);
         let json = serde_json::to_string(&t).unwrap();
         let back: Track = serde_json::from_str(&json).unwrap();
@@ -550,5 +643,59 @@ mod tests {
         assert!((a.s - b.s).abs() < 1e-9);
         assert!((a.lateral - b.lateral).abs() < 1e-9);
         assert_eq!(t.surface_at(p), back.surface_at(p));
+        // The raster is not serialised but rebuilt, never left empty.
+        assert!(!json.contains("raster"));
+        assert_eq!(*back.raster, SurfaceRaster::build(&back));
+        assert_eq!(back.raster.lookup(0, 0.5, 0.5), Some(Surface::Off));
+    }
+
+    #[test]
+    fn deserialise_rejects_inconsistent_geometry() {
+        let t = circle_track(3.0, 0.7);
+        let with = |key: &str, value: serde::Value| {
+            let mut v = serde::Serialize::serialize(&t);
+            if let serde::Value::Object(fields) = &mut v {
+                for (k, field) in fields.iter_mut() {
+                    if k == key {
+                        *field = value.clone();
+                    }
+                }
+            }
+            Track::deserialize(&v)
+        };
+        let mut stations = t.station.clone();
+        stations.swap(1, 2);
+        assert!(with("half_width", serde::Value::Array(Vec::new())).is_err());
+        assert!(with("station", serde::Serialize::serialize(&stations)).is_err());
+        assert!(with("grid_cell", serde::Serialize::serialize(&0.0)).is_err());
+        assert!(with("grid_cols", serde::Serialize::serialize(&usize::MAX)).is_err());
+        assert!(with("name", serde::Serialize::serialize("renamed")).is_ok());
+    }
+
+    #[test]
+    fn raster_footprint_is_small_and_shared_by_clones() {
+        for t in [paper_oval(), circle_track(3.0, 0.8)] {
+            let bytes = t.raster.heap_bytes();
+            assert!(bytes < 256 * 1024, "{} raster is {bytes} bytes", t.name());
+            let copy = t.clone();
+            assert!(Arc::ptr_eq(&t.raster, &copy.raster));
+        }
+    }
+
+    #[test]
+    fn non_finite_points_are_off() {
+        let t = circle_track(3.0, 0.8);
+        for p in [
+            Vec2::new(f64::NAN, 0.0),
+            Vec2::new(0.0, f64::NAN),
+            Vec2::new(f64::INFINITY, 0.0),
+            Vec2::new(0.0, f64::NEG_INFINITY),
+        ] {
+            assert_eq!(t.surface_at(p), Surface::Off);
+        }
+        assert_eq!(
+            t.surface_at_exact(Vec2::new(f64::NAN, f64::NAN)),
+            Surface::Off
+        );
     }
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# The full local CI gate: release build, the complete workspace test suite,
-# the benchmark build check and fleet smoke, and the static-analysis gate —
-# everything a change must pass before merging.
+# The full local CI gate: release builds (libraries and binaries, then every
+# target), the complete workspace test suite, the benchmark build check and
+# fleet smoke, and the static-analysis gate — everything a change must pass
+# before merging.
 #
 #   scripts/ci.sh
 #
@@ -14,6 +15,12 @@ status=0
 
 echo "== ci: cargo build --release =="
 cargo build --release || status=$?
+
+echo
+echo "== ci: cargo build --release --all-targets =="
+# Benches and examples too: `cargo test` never builds the criterion bench
+# targets, so a bench that stops compiling must fail here.
+cargo build --release --all-targets || status=$?
 
 echo
 echo "== ci: cargo test -q --workspace =="
