@@ -46,7 +46,7 @@ use autolearn_nn::{
 use autolearn_sim::{CarConfig, DriveConfig, Simulation};
 use autolearn_track::Track;
 use autolearn_tub::{CleanConfig, Record, TubCleaner};
-use autolearn_obs::{attr, AttrValue, Obs, Trace};
+use autolearn_obs::{attr, AttrValue, Obs, SpanId, Trace};
 use autolearn_util::fault::{FaultPlan, InjectedFault};
 use autolearn_util::{derive_seed, Bytes, Epochs, RetryPolicy, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -332,18 +332,11 @@ fn retry_stage<T>(
                 }
             });
         }
-        let span = obs.begin_span("attempt");
-        obs.span_attr(span, "stage", AttrValue::Str(stage.to_string()));
-        obs.span_attr(span, "attempt", AttrValue::Int(i64::from(attempt)));
-        obs.counter_add("pipeline.attempts", 1);
+        let span = open_attempt(obs, stage, attempt);
         match attempt_fn(attempt, obs) {
             Ok((value, charged)) => {
                 elapsed += charged;
-                obs.span_attr(span, "outcome", AttrValue::Str("ok".to_string()));
-                obs.span_attr(span, "charged_s", AttrValue::F64(charged.as_secs()));
-                obs.span_attr(span, "backoff_s", AttrValue::F64(0.0));
-                obs.advance(charged);
-                obs.end_span(span);
+                close_attempt(obs, span, "ok", charged, SimDuration::ZERO);
                 return Ok((value, elapsed));
             }
             Err(StageFault::Fatal(e)) => {
@@ -362,19 +355,41 @@ fn retry_stage<T>(
                     SimDuration::ZERO
                 };
                 elapsed += backoff;
-                obs.counter_add("pipeline.retries", 1);
-                obs.span_attr(span, "outcome", AttrValue::Str(why.clone()));
-                obs.span_attr(span, "charged_s", AttrValue::F64(charged.as_secs()));
-                obs.span_attr(span, "backoff_s", AttrValue::F64(backoff.as_secs()));
-                obs.advance(charged);
-                obs.end_span(span);
-                // The backoff is the gap between attempt spans.
-                obs.advance(backoff);
+                close_attempt(obs, span, &why, charged, backoff);
                 last_error = why;
                 attempt += 1;
             }
         }
     }
+}
+
+/// Open try `attempt` of `stage` as the `attempt` span [`RunLog::from_trace`] reads.
+fn open_attempt(obs: &mut Obs, stage: &str, attempt: u32) -> SpanId {
+    let span = obs.begin_span("attempt");
+    obs.span_attr(span, "stage", AttrValue::Str(stage.to_string()));
+    obs.span_attr(span, "attempt", AttrValue::Int(i64::from(attempt)));
+    obs.counter_add("pipeline.attempts", 1);
+    span
+}
+
+/// Close an attempt span covering `charged`, then advance past `backoff`, the
+/// gap before the next attempt. An `outcome` other than `"ok"` is a retry.
+fn close_attempt(
+    obs: &mut Obs,
+    span: SpanId,
+    outcome: &str,
+    charged: SimDuration,
+    backoff: SimDuration,
+) {
+    if outcome != "ok" {
+        obs.counter_add("pipeline.retries", 1);
+    }
+    obs.span_attr(span, "outcome", AttrValue::Str(outcome.to_string()));
+    obs.span_attr(span, "charged_s", AttrValue::F64(charged.as_secs()));
+    obs.span_attr(span, "backoff_s", AttrValue::F64(backoff.as_secs()));
+    obs.advance(charged);
+    obs.end_span(span);
+    obs.advance(backoff);
 }
 
 /// The cleaned records as a dataset in the model's input layout, or a
@@ -701,18 +716,8 @@ impl Pipeline {
         // same shape as the retried stages'.
         let train_attempt =
             |obs: &mut Obs, attempt: u32, outcome: &str, charged: SimDuration| {
-                let span = obs.begin_span("attempt");
-                obs.counter_add("pipeline.attempts", 1);
-                if outcome != "ok" {
-                    obs.counter_add("pipeline.retries", 1);
-                }
-                obs.span_attr(span, "stage", AttrValue::Str("train".to_string()));
-                obs.span_attr(span, "attempt", AttrValue::Int(i64::from(attempt)));
-                obs.span_attr(span, "outcome", AttrValue::Str(outcome.to_string()));
-                obs.span_attr(span, "charged_s", AttrValue::F64(charged.as_secs()));
-                obs.span_attr(span, "backoff_s", AttrValue::F64(0.0));
-                obs.advance(charged);
-                obs.end_span(span);
+                let span = open_attempt(obs, "train", attempt);
+                close_attempt(obs, span, outcome, charged, SimDuration::ZERO);
             };
         let base_train = training_time(&cost, &ComputeDevice::of_gpu(gpu_used));
         let train_time = match preempt.take() {

@@ -125,9 +125,11 @@ impl Tub {
         self.catalogs.iter().map(|c| c.record_count).sum()
     }
 
-    /// Records not marked deleted.
+    /// Records not marked deleted; marks on never-assigned ids do not count.
     pub fn live_record_count(&self) -> usize {
-        self.record_count() - self.manifest.deleted_ids.len()
+        let m = &self.manifest;
+        let marked = m.deleted_ids.range(..m.next_id).count();
+        self.record_count().saturating_sub(marked)
     }
 
     /// Ids marked deleted in the manifest.
@@ -265,11 +267,11 @@ fn read_image(path: &Path) -> Result<Image, TubError> {
     let w = header_field(0)?;
     let h = header_field(1)?;
     let c = header_field(2)?;
-    if buf.len() != 12 + w * h * c {
+    let pixels = w.checked_mul(h).and_then(|n| n.checked_mul(c));
+    if pixels != Some(buf.len() - 12) {
         return Err(TubError::Corrupt(format!(
-            "{}: expected {} pixel bytes, found {}",
+            "{}: header {w}x{h}x{c} does not match {} pixel bytes",
             path.display(),
-            w * h * c,
             buf.len() - 12
         )));
     }
@@ -436,5 +438,30 @@ mod tests {
         write_n(&mut tub, 1);
         std::fs::write(dir.join("images/0.img"), [1, 2, 3]).unwrap();
         assert!(matches!(tub.read_image(0), Err(TubError::Corrupt(_))));
+    }
+
+    #[test]
+    fn overflowing_image_header_is_corrupt() {
+        let tmp = TempDir::new("overflow");
+        let dir = tmp.0.join("tub");
+        let mut tub = Tub::create(&dir).unwrap();
+        write_n(&mut tub, 1);
+        // w * h * c = 2^64 wraps to 0, matching a header-only file.
+        let mut header = Vec::new();
+        for dim in [1u32 << 22, 1 << 22, 1 << 20] {
+            header.extend_from_slice(&dim.to_le_bytes());
+        }
+        std::fs::write(dir.join("images/0.img"), header).unwrap();
+        assert!(matches!(tub.read_image(0), Err(TubError::Corrupt(_))));
+    }
+
+    #[test]
+    fn marks_on_unassigned_ids_do_not_count() {
+        let tmp = TempDir::new("unassigned");
+        let mut tub = Tub::create(tmp.0.join("tub")).unwrap();
+        write_n(&mut tub, 2);
+        tub.mark_deleted([5u64, 6, 7]).unwrap();
+        assert_eq!(tub.live_record_count(), tub.read_live().unwrap().len());
+        assert_eq!(tub.live_record_count(), 2);
     }
 }

@@ -18,8 +18,8 @@ cargo build --release || status=$?
 
 echo
 echo "== ci: cargo build --release --all-targets =="
-# Benches and examples too: `cargo test` never builds the criterion bench
-# targets, so a bench that stops compiling must fail here.
+# Examples and tests in the release profile too, so a target that only
+# breaks under release settings fails here rather than at the next run.
 cargo build --release --all-targets || status=$?
 
 echo
