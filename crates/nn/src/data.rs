@@ -92,13 +92,19 @@ impl Dataset {
     }
 
     /// The example indices of [`Dataset::split`]'s train and validation
-    /// sets, without copying any example.
+    /// sets, without copying any example. A fraction strictly between 0 and
+    /// 1 leaves at least one example on each side of a dataset of two or
+    /// more, however the cut rounds; 0.0 and 1.0 put everything on one side.
     pub fn split_indices(&self, train_frac: f64, seed: u64) -> (Vec<usize>, Vec<usize>) {
         assert!((0.0..=1.0).contains(&train_frac));
-        let mut idx: Vec<usize> = (0..self.len()).collect();
+        let len = self.len();
+        let mut idx: Vec<usize> = (0..len).collect();
         idx.shuffle(&mut rng_from_seed(seed));
         // cast: rounded fraction of a usize length is non-negative and fits.
-        let cut = (self.len() as f64 * train_frac).round() as usize;
+        let mut cut = (len as f64 * train_frac).round() as usize;
+        if train_frac > 0.0 && train_frac < 1.0 && len >= 2 {
+            cut = cut.clamp(1, len - 1);
+        }
         let val = idx.split_off(cut);
         (idx, val)
     }
@@ -318,6 +324,19 @@ mod tests {
         let (nothing, everything) = d.split(0.0, 0);
         assert!(nothing.is_empty());
         assert_eq!(everything.len(), 5);
+    }
+
+    #[test]
+    fn fractional_split_of_two_keeps_one_example_each_side() {
+        let d = toy(2);
+        for seed in 0..5 {
+            let (train, val) = d.split_indices(0.8, seed);
+            assert_eq!((train.len(), val.len()), (1, 1), "seed {seed}");
+            assert_ne!(train[0], val[0], "seed {seed}");
+        }
+        // A small fraction of a small set rounds to 0 and is lifted to 1.
+        let (train, val) = toy(4).split_indices(0.1, 3);
+        assert_eq!((train.len(), val.len()), (1, 3));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The optimized numeric core: one GEMM primitive reused everywhere.
 //!
 //! Every hot path in this crate — dense layers, LSTM gate math, and (via
-//! im2col lowering) 2-D/3-D convolution forward *and* backward — bottoms out
-//! in [`gemm`], a blocked, panel-packed `f32` matrix multiply:
+//! `im2col3d`/`col2im3d` lowering) convolution forward *and* backward —
+//! bottoms out in [`gemm`], a blocked, panel-packed `f32` matrix multiply:
 //!
 //! * **register tiling** — a `4 x 16` micro-kernel keeps a C tile in
 //!   registers across the whole K loop, so each loaded A/B element feeds
@@ -21,6 +21,10 @@
 //! inside any kernel. Layers hold their larger per-shape temporaries
 //! (im2col matrices, cached activations, gradient staging) in a [`Scratch`]
 //! arena with the same grow-only discipline.
+//!
+//! There is one lowering for both conv ranks: a 2-D `[c, h, w]` image is a
+//! 3-D `[c, t, h, w]` volume with a unit time axis (`t = kt = st = 1`), so
+//! `Conv2D` and `Conv3D` share `im2col3d`/`col2im3d` and one layer body.
 //!
 //! The pre-GEMM naive kernels live on in [`reference`] as the correctness
 //! oracle: `tests/kernel_parity.rs` asserts the optimized and reference
@@ -515,92 +519,12 @@ fn pack_b(
     }
 }
 
-/// Lower one `[c, h, w]` image into the im2col matrix
-/// `cols: [c*k*k, oh*ow]` for a square `k` kernel with stride `s` and valid
-/// padding. Row `(ci*k + ky)*k + kx` of `cols` holds that kernel tap's
-/// value for every output position, so convolution becomes
-/// `W[f, c*k*k] · cols`.
-pub fn im2col2d(
-    x: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    k: usize,
-    s: usize,
-    oh: usize,
-    ow: usize,
-    cols: &mut [f32],
-) {
-    debug_assert_eq!(x.len(), c * h * w);
-    debug_assert_eq!(cols.len(), c * k * k * oh * ow);
-    let ohow = oh * ow;
-    let mut row = 0usize;
-    // hot-kernel: begin (im2col lowering)
-    for ci in 0..c {
-        let xc = &x[ci * h * w..(ci + 1) * h * w];
-        for ky in 0..k {
-            for kx in 0..k {
-                let dst = &mut cols[row * ohow..(row + 1) * ohow];
-                for oy in 0..oh {
-                    let src = (oy * s + ky) * w + kx;
-                    let drow = &mut dst[oy * ow..(oy + 1) * ow];
-                    if s == 1 {
-                        drow.copy_from_slice(&xc[src..src + ow]);
-                    } else {
-                        for (ox, d) in drow.iter_mut().enumerate() {
-                            *d = xc[src + ox * s];
-                        }
-                    }
-                }
-                row += 1;
-            }
-        }
-    }
-    // hot-kernel: end
-}
-
-/// Adjoint of [`im2col2d`]: scatter-add `cols: [c*k*k, oh*ow]` back into
-/// the `[c, h, w]` image gradient `dx` (which the caller has zeroed).
-/// Overlapping receptive fields accumulate, which is exactly the
-/// convolution input-gradient.
-pub fn col2im2d(
-    cols: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    k: usize,
-    s: usize,
-    oh: usize,
-    ow: usize,
-    dx: &mut [f32],
-) {
-    debug_assert_eq!(dx.len(), c * h * w);
-    debug_assert_eq!(cols.len(), c * k * k * oh * ow);
-    let ohow = oh * ow;
-    let mut row = 0usize;
-    // hot-kernel: begin (col2im scatter-add)
-    for ci in 0..c {
-        let xc = &mut dx[ci * h * w..(ci + 1) * h * w];
-        for ky in 0..k {
-            for kx in 0..k {
-                let src = &cols[row * ohow..(row + 1) * ohow];
-                for oy in 0..oh {
-                    let dst = (oy * s + ky) * w + kx;
-                    let srow = &src[oy * ow..(oy + 1) * ow];
-                    for (ox, &v) in srow.iter().enumerate() {
-                        xc[dst + ox * s] += v;
-                    }
-                }
-                row += 1;
-            }
-        }
-    }
-    // hot-kernel: end
-}
-
-/// 3-D analogue of [`im2col2d`]: lower one `[c, t, h, w]` volume into
+/// Lower one `[c, t, h, w]` volume into the im2col matrix
 /// `cols: [c*kt*k*k, ot*oh*ow]` for kernel `(kt, k, k)` and stride
-/// `(st, s, s)`, valid padding.
+/// `(st, s, s)`, valid padding. Row `((ci*kt + kz)*k + ky)*k + kx` of `cols`
+/// holds that kernel tap's value for every output position, so convolution
+/// becomes `W[f, c*kt*k*k] · cols`. A 2-D `[c, h, w]` image is the same
+/// buffer with `t = kt = st = 1`.
 #[allow(clippy::too_many_arguments)]
 pub fn im2col3d(
     x: &[f32],
@@ -651,7 +575,8 @@ pub fn im2col3d(
 }
 
 /// Adjoint of [`im2col3d`]: scatter-add `cols` back into the zeroed
-/// `[c, t, h, w]` volume gradient `dx`.
+/// `[c, t, h, w]` volume gradient `dx`. Overlapping receptive fields
+/// accumulate, which is exactly the convolution input-gradient.
 #[allow(clippy::too_many_arguments)]
 pub fn col2im3d(
     cols: &[f32],
@@ -726,51 +651,16 @@ impl Scratch {
         }
     }
 
-    /// Borrow slot 0 at `len` elements.
-    pub fn get1(&mut self, l0: usize) -> &mut [f32] {
-        self.ensure(0, l0);
-        &mut self.slots[0][..l0]
-    }
-
-    /// Borrow slots 0 and 1 simultaneously.
-    pub fn get2(&mut self, l0: usize, l1: usize) -> (&mut [f32], &mut [f32]) {
-        self.ensure(0, l0);
-        self.ensure(1, l1);
-        let (s0, rest) = self.slots.split_at_mut(1);
-        (&mut s0[0][..l0], &mut rest[0][..l1])
-    }
-
-    /// Borrow slots 0–2 simultaneously.
-    pub fn get3(&mut self, l0: usize, l1: usize, l2: usize) -> (&mut [f32], &mut [f32], &mut [f32]) {
-        self.ensure(0, l0);
-        self.ensure(1, l1);
-        self.ensure(2, l2);
-        let (s0, rest) = self.slots.split_at_mut(1);
-        let (s1, rest) = rest.split_at_mut(1);
-        (&mut s0[0][..l0], &mut s1[0][..l1], &mut rest[0][..l2])
-    }
-
-    /// Borrow slots 0–3 simultaneously.
-    pub fn get4(
-        &mut self,
-        l0: usize,
-        l1: usize,
-        l2: usize,
-        l3: usize,
-    ) -> (&mut [f32], &mut [f32], &mut [f32], &mut [f32]) {
-        self.ensure(0, l0);
-        self.ensure(1, l1);
-        self.ensure(2, l2);
-        self.ensure(3, l3);
-        let (s0, rest) = self.slots.split_at_mut(1);
-        let (s1, rest) = rest.split_at_mut(1);
-        let (s2, rest) = rest.split_at_mut(1);
-        (
-            &mut s0[0][..l0],
-            &mut s1[0][..l1],
-            &mut s2[0][..l2],
-            &mut rest[0][..l3],
-        )
+    /// Borrow slots `0..N` at once, slot `i` at `lens[i]` elements.
+    pub fn get<const N: usize>(&mut self, lens: [usize; N]) -> [&mut [f32]; N] {
+        for (idx, &len) in lens.iter().enumerate() {
+            self.ensure(idx, len);
+        }
+        let mut out: [&mut [f32]; N] = std::array::from_fn(|_| Default::default());
+        for ((o, slot), len) in out.iter_mut().zip(&mut self.slots).zip(lens) {
+            *o = &mut slot[..len];
+        }
+        out
     }
 
     /// Bytes currently held by the arena. Stable across steady-state steps
@@ -1111,14 +1001,15 @@ mod tests {
     #[test]
     fn im2col_col2im_2d_roundtrip_counts_overlaps() {
         // col2im(im2col(x)) multiplies each pixel by the number of windows
-        // covering it; with k=1, s=1 that count is exactly 1.
+        // covering it; with k=1, s=1 that count is exactly 1. A 2-D image
+        // is the 3-D lowering at t = kt = st = 1.
         let mut rng = rng_from_seed(14);
         let (c, h, w) = (2, 5, 6);
         let x = rand_vec(c * h * w, &mut rng);
         let mut cols = vec![0.0; c * h * w];
-        im2col2d(&x, c, h, w, 1, 1, h, w, &mut cols);
+        im2col3d(&x, c, 1, h, w, 1, 1, 1, 1, 1, h, w, &mut cols);
         let mut back = vec![0.0; c * h * w];
-        col2im2d(&cols, c, h, w, 1, 1, h, w, &mut back);
+        col2im3d(&cols, c, 1, h, w, 1, 1, 1, 1, 1, h, w, &mut back);
         assert_close(&back, &x, "1x1 roundtrip");
     }
 
@@ -1136,7 +1027,7 @@ mod tests {
 
         let ckk = c * k * k;
         let mut cols = vec![0.0; ckk * oh * ow];
-        im2col2d(&x, c, h, w, k, s, oh, ow, &mut cols);
+        im2col3d(&x, c, 1, h, w, 1, k, 1, s, 1, oh, ow, &mut cols);
         let mut got = vec![0.0; f * oh * ow];
         matmul_into(&mut got, &wv, &cols, f, ckk, oh * ow);
         for fi in 0..f {
@@ -1178,7 +1069,7 @@ mod tests {
     fn scratch_slots_are_stable_and_disjoint() {
         let mut s = Scratch::new();
         {
-            let (a, b) = s.get2(8, 4);
+            let [a, b] = s.get([8, 4]);
             a.fill(1.0);
             b.fill(2.0);
             assert_eq!(a.len(), 8);
@@ -1186,15 +1077,15 @@ mod tests {
         }
         let bytes = s.bytes();
         // Same request: same storage, no growth.
-        let _ = s.get2(8, 4);
+        let _ = s.get([8, 4]);
         assert_eq!(s.bytes(), bytes);
         // Smaller request hands back a prefix without shrinking.
-        assert_eq!(s.get1(3).len(), 3);
+        assert_eq!(s.get([3])[0].len(), 3);
         assert_eq!(s.bytes(), bytes);
         // Larger request grows.
-        let _ = s.get1(100);
+        let _ = s.get([100]);
         assert!(s.bytes() > bytes);
-        let (q, r, t, u) = s.get4(1, 2, 3, 4);
+        let [q, r, t, u] = s.get([1, 2, 3, 4]);
         q[0] = 1.0;
         r[0] = 2.0;
         t[0] = 3.0;

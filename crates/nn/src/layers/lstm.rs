@@ -114,7 +114,7 @@ impl Layer for Lstm {
         }
         self.cache_steps = time;
         let mut out = Tensor::zeros(&[batch, h]);
-        let (z, h_t, c_t) = self.scratch.get3(batch * 4 * h, batch * h, batch * h);
+        let [z, h_t, c_t] = self.scratch.get([batch * 4 * h, batch * h, batch * h]);
         h_t.fill(0.0);
         c_t.fill(0.0);
         let xin = x.data();
@@ -174,12 +174,8 @@ impl Layer for Lstm {
 
         let mut dx_all = Tensor::zeros(&[batch, time, f_dim]);
         let dxv = dx_all.data_mut();
-        let (dz, dh, dc, dxt) = self.scratch.get4(
-            batch * 4 * h,
-            batch * h,
-            batch * h,
-            batch * f_dim,
-        );
+        let [dz, dh, dc, dxt] =
+            self.scratch.get([batch * 4 * h, batch * h, batch * h, batch * f_dim]);
         dh.copy_from_slice(grad_out.data());
         dc.fill(0.0);
         let wv = self.w.value.data();

@@ -9,8 +9,7 @@
 //! differences.
 
 mod batchnorm;
-mod conv2d;
-mod conv3d;
+mod conv;
 mod dense;
 mod dropout;
 mod flatten;
@@ -19,8 +18,7 @@ mod pool;
 mod timedistributed;
 
 pub use batchnorm::BatchNorm1d;
-pub use conv2d::Conv2D;
-pub use conv3d::Conv3D;
+pub use conv::{Conv, Conv2D, Conv3D};
 pub use dense::Dense;
 pub use dropout::Dropout;
 pub use flatten::Flatten;

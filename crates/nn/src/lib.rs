@@ -8,8 +8,9 @@
 //! * a dense `f32` [`Tensor`] whose matmul/conv paths all lower onto one
 //!   blocked, panel-packed GEMM primitive ([`kernels`]), with the naive
 //!   loops kept in [`kernels::reference`] as the correctness oracle,
-//! * layers with hand-written backward passes (`Dense`, `Conv2D`, `Conv3D`,
-//!   `MaxPool2D`, `Flatten`, `Dropout`, `BatchNorm1d`, activations, `Lstm`,
+//! * layers with hand-written backward passes (`Dense`, `Conv2D` and
+//!   `Conv3D` — two ranks of one [`layers::Conv`] body —, `MaxPool2D`,
+//!   `Flatten`, `Dropout`, `BatchNorm1d`, activations, `Lstm`,
 //!   `TimeDistributed`),
 //! * losses (MSE, softmax cross-entropy), optimizers (SGD+momentum, Adam),
 //! * a [`Sequential`] container plus the six two-headed DonkeyCar

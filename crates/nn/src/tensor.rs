@@ -312,7 +312,7 @@ impl Tensor {
 /// bounded prefix of `data` for NaN/inf so exploding gradients surface at
 /// the kernel that produced them instead of as a silent bad loss. Bounded at
 /// 256 elements to keep debug test runs fast; compiled out in release.
-pub(crate) fn debug_check_finite(kernel: &str, data: &[f32]) {
+pub(crate) fn debug_check_finite(kernel: impl std::fmt::Display, data: &[f32]) {
     if cfg!(debug_assertions) {
         let n = data.len().min(256);
         if let Some((i, v)) = data[..n].iter().enumerate().find(|(_, v)| !v.is_finite()) {

@@ -311,6 +311,21 @@ mod tests {
     }
 
     #[test]
+    fn two_examples_validate_against_a_non_empty_set() {
+        let mut model = CarModel::build(ModelKind::Linear, &cfg());
+        let data = prepare_dataset(&dataset(2), model.input_spec());
+        let trainer = Trainer::new(TrainConfig {
+            epochs: 2,
+            ..Default::default()
+        });
+        let report = trainer.fit(&mut model, &data).expect("graph validates");
+        assert!(report.best_val_loss.is_finite());
+        assert!(report.best_val_loss > 0.0, "{}", report.best_val_loss);
+        // One example trains per epoch; the other validates.
+        assert_eq!(report.examples_seen, 2);
+    }
+
+    #[test]
     fn early_stopping_triggers_with_zero_patience() {
         let mut model = CarModel::build(ModelKind::Linear, &cfg());
         let data = prepare_dataset(&dataset(40), model.input_spec());

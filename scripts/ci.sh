@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # The full local CI gate: release builds (libraries and binaries, then every
-# target), the complete workspace test suite, the benchmark build check and
-# fleet smoke, and the static-analysis gate — everything a change must pass
-# before merging.
+# target), the complete workspace test suite, the benchmark build check, the
+# fleet and train_zoo smokes, and the static-analysis gate — everything a
+# change must pass before merging.
 #
 #   scripts/ci.sh
 #
@@ -42,6 +42,13 @@ echo "== ci: fleet benchmark smoke =="
 # fleet output check passed: each rollup equals the sessions run so far and
 # live leases never exceed the pool's capacity.
 python3 perfbench/run.py --workload fleet --seed 1 --seconds 2 --trace 0 || status=$?
+
+echo
+echo "== ci: train_zoo benchmark smoke =="
+# A short rotation over all six zoo kinds in release, so both convolution
+# ranks run forward and backward. It exits 0 only when every fit's losses
+# stay finite and its training loss falls.
+python3 perfbench/run.py --workload train_zoo --seed 1 --seconds 2 --trace 0 || status=$?
 
 echo
 echo "== ci: static-analysis gate =="
