@@ -663,7 +663,11 @@ mod tests {
         )
         .expect_err("u8 handoff must be rejected");
         assert_eq!(errors.len(), 1);
-        assert!(errors[0].message.contains("dtype mismatch"), "{}", errors[0]);
+        assert!(
+            errors[0].message.contains("dtype mismatch"),
+            "{}",
+            errors[0]
+        );
     }
 
     #[test]

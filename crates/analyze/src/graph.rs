@@ -183,7 +183,10 @@ impl LayerSpec {
     /// invalid. Shapes include the batch dimension at index 0.
     pub fn output_shape(&self, input: &[usize]) -> Result<Vec<usize>, String> {
         match self {
-            LayerSpec::Dense { input: f_in, output } => {
+            LayerSpec::Dense {
+                input: f_in,
+                output,
+            } => {
                 let got = rank2_features(input, "Dense")?;
                 if got != *f_in {
                     return Err(format!("Dense expects {f_in} input features, got {got}"));
@@ -269,7 +272,10 @@ impl LayerSpec {
                 }
                 Ok(vec![input[0], input[1..].iter().product()])
             }
-            LayerSpec::Lstm { input: f_in, hidden } => {
+            LayerSpec::Lstm {
+                input: f_in,
+                hidden,
+            } => {
                 if input.len() != 3 {
                     return Err(format!(
                         "Lstm expects rank-3 [B, T, F], got rank-{} {input:?}",
@@ -749,7 +755,10 @@ mod tests {
     use super::*;
 
     fn dense(i: usize, o: usize) -> LayerSpec {
-        LayerSpec::Dense { input: i, output: o }
+        LayerSpec::Dense {
+            input: i,
+            output: o,
+        }
     }
 
     fn simple_spec(layers: Vec<LayerSpec>, heads: Vec<(String, Vec<LayerSpec>)>) -> ModelSpec {
@@ -768,7 +777,12 @@ mod tests {
     #[test]
     fn valid_dense_chain_passes() {
         let spec = simple_spec(
-            vec![dense(8, 16), LayerSpec::Activation { kind: "relu".into() }],
+            vec![
+                dense(8, 16),
+                LayerSpec::Activation {
+                    kind: "relu".into(),
+                },
+            ],
             vec![("out".to_string(), vec![dense(16, 1)])],
         );
         let report = validate_model(&spec).expect("valid graph");
@@ -811,7 +825,9 @@ mod tests {
             declared_feature_dim: None,
         };
         let errors = validate_model(&spec).unwrap_err();
-        assert!(errors.iter().any(|e| e.message.contains("smaller than kernel")));
+        assert!(errors
+            .iter()
+            .any(|e| e.message.contains("smaller than kernel")));
     }
 
     #[test]
@@ -837,7 +853,9 @@ mod tests {
             vec![
                 dense(8, 8),
                 LayerSpec::Dropout { rate: 0.0 },
-                LayerSpec::Activation { kind: "linear".into() },
+                LayerSpec::Activation {
+                    kind: "linear".into(),
+                },
                 LayerSpec::Flatten,
             ],
             vec![("out".to_string(), vec![dense(8, 1)])],
@@ -866,7 +884,9 @@ mod tests {
             )],
         );
         let errors = validate_model(&spec).unwrap_err();
-        assert!(errors.iter().any(|e| e.message.contains("train-only layer")));
+        assert!(errors
+            .iter()
+            .any(|e| e.message.contains("train-only layer")));
     }
 
     #[test]
@@ -877,7 +897,9 @@ mod tests {
         );
         spec.declared_params = Some(999);
         let errors = validate_model(&spec).unwrap_err();
-        assert!(errors.iter().any(|e| e.message.contains("parameter-count drift")));
+        assert!(errors
+            .iter()
+            .any(|e| e.message.contains("parameter-count drift")));
     }
 
     #[test]
@@ -967,7 +989,10 @@ mod tests {
                         dense(4 * 5 * 5, 16),
                     ])),
                 },
-                LayerSpec::Lstm { input: 16, hidden: 8 },
+                LayerSpec::Lstm {
+                    input: 16,
+                    hidden: 8,
+                },
             ],
             aux_width: None,
             merge: Vec::new(),

@@ -31,4 +31,4 @@ pub mod lint;
 
 pub use contract::{validate_pipeline, ContractError, ContractReport, StageSpec};
 pub use graph::{validate_model, GraphError, GraphReport, LayerSpec, ModelSpec};
-pub use lint::{Linter, LintOutcome};
+pub use lint::{LintOutcome, Linter};

@@ -126,9 +126,10 @@ pub fn compare(current: &Baseline, baseline: &Baseline) -> Comparison {
         crates
             .iter()
             .any(|(krate, &base)| current_count(rule, krate) < base)
-    }) || baseline.allowlisted_by_rule.iter().any(|(rule, &base)| {
-        current.allowlisted_by_rule.get(rule).copied().unwrap_or(0) < base
-    });
+    }) || baseline
+        .allowlisted_by_rule
+        .iter()
+        .any(|(rule, &base)| current.allowlisted_by_rule.get(rule).copied().unwrap_or(0) < base);
     cmp
 }
 
@@ -159,7 +160,9 @@ impl Json {
     fn as_count(&self, key: &str) -> Result<usize, String> {
         match self {
             Json::Number(n) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as usize),
-            other => Err(format!("baseline: count for `{key}` must be a non-negative integer, got {other:?}")),
+            other => Err(format!(
+                "baseline: count for `{key}` must be a non-negative integer, got {other:?}"
+            )),
         }
     }
 }
@@ -180,7 +183,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
         Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(bytes, pos),
-        Some(c) => Err(format!("baseline: unexpected byte {:?} at {}", *c as char, *pos)),
+        Some(c) => Err(format!(
+            "baseline: unexpected byte {:?} at {}",
+            *c as char, *pos
+        )),
         None => Err("baseline: unexpected end of input".to_string()),
     }
 }
@@ -353,7 +359,9 @@ mod tests {
         let current = Baseline::from_outcome(&outcome_with_finding());
         let cmp = compare(&current, &Baseline::default());
         assert!(
-            cmp.regressions.iter().any(|r| r.contains("no-unwrap-in-lib")),
+            cmp.regressions
+                .iter()
+                .any(|r| r.contains("no-unwrap-in-lib")),
             "{:?}",
             cmp.regressions
         );
@@ -361,7 +369,7 @@ mod tests {
     }
 
     #[test]
-    fn count_below_baseline_shrinks_the_snapshot()  {
+    fn count_below_baseline_shrinks_the_snapshot() {
         let snapshot = Baseline::from_outcome(&outcome_with_finding());
         let cmp = compare(&Baseline::default(), &snapshot);
         assert!(cmp.regressions.is_empty(), "{:?}", cmp.regressions);
@@ -394,7 +402,9 @@ mod tests {
     #[test]
     fn parser_handles_escapes_arrays_and_literals() {
         let v = Json::parse(r#"{"a\n\"b": [1, true, null, "x"], "n": -2.5e1}"#).unwrap();
-        let Json::Object(map) = v else { panic!("object") };
+        let Json::Object(map) = v else {
+            panic!("object")
+        };
         assert!(map.contains_key("a\n\"b"));
         assert_eq!(map.get("n"), Some(&Json::Number(-25.0)));
     }

@@ -86,7 +86,10 @@ impl Linter {
 
     /// Ids and descriptions of the attached rules.
     pub fn rule_catalog(&self) -> Vec<(&'static str, &'static str)> {
-        self.rules.iter().map(|r| (r.id(), r.description())).collect()
+        self.rules
+            .iter()
+            .map(|r| (r.id(), r.description()))
+            .collect()
     }
 
     /// Lint every workspace member found under `root`.

@@ -77,7 +77,10 @@ pub fn render_json(outcome: &LintOutcome) -> String {
     }
 
     let mut out = String::from("{\n");
-    out.push_str(&format!("  \"files_scanned\": {},\n", outcome.files_scanned));
+    out.push_str(&format!(
+        "  \"files_scanned\": {},\n",
+        outcome.files_scanned
+    ));
     out.push_str(&format!("  \"active\": {},\n", outcome.active.len()));
     out.push_str(&format!(
         "  \"allowlisted\": {},\n",
@@ -113,7 +116,11 @@ pub fn render_json(outcome: &LintOutcome) -> String {
         first = false;
         out.push_str(&format!("\n    {}: {count}", json_string(rule)));
     }
-    out.push_str(if allow_rules.is_empty() { "}\n" } else { "\n  }\n" });
+    out.push_str(if allow_rules.is_empty() {
+        "}\n"
+    } else {
+        "\n  }\n"
+    });
     out.push_str("}\n");
     out
 }

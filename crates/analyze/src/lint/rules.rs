@@ -79,12 +79,7 @@ fn finding(rule: &'static str, file: &SourceFile, line: usize, message: String) 
 }
 
 /// Scan non-test code lines for a needle, with a per-line veto.
-fn scan_code<F>(
-    rule: &'static str,
-    file: &SourceFile,
-    needles: &[&str],
-    message: F,
-) -> Vec<Finding>
+fn scan_code<F>(rule: &'static str, file: &SourceFile, needles: &[&str], message: F) -> Vec<Finding>
 where
     F: Fn(&str) -> String,
 {
@@ -343,8 +338,7 @@ impl Rule for NoSleepInHotPath {
 
     fn check(&self, file: &SourceFile) -> Vec<Finding> {
         scan_code(self.id(), file, &["thread::sleep"], |_| {
-            "thread::sleep in a hot-path crate; drive timing from the simulation clock"
-                .to_string()
+            "thread::sleep in a hot-path crate; drive timing from the simulation clock".to_string()
         })
     }
 }
@@ -478,15 +472,30 @@ impl Rule for NoWallclockInSim {
 pub struct NoUnorderedIteration;
 
 /// Iteration forms that surface a hash container's arbitrary order.
-const HASH_ITER_HINTS: &[&str] = &[".iter()", ".keys()", ".values()", ".into_iter()", ".drain()"];
+const HASH_ITER_HINTS: &[&str] = &[
+    ".iter()",
+    ".keys()",
+    ".values()",
+    ".into_iter()",
+    ".drain()",
+];
 /// Order-sensitive destinations: anything a human or a seeded RNG reads.
 const ORDER_SINKS: &[&str] = &[
     "println!", "writeln!", "write!", "format!", "push_str", "report", "log", "seed", "rng",
 ];
 /// Order restorers / order-insensitive folds that make the iteration safe.
 const ORDER_VETOES: &[&str] = &[
-    "sort", "BTreeMap", "BTreeSet", ".sum(", ".count(", ".len(", ".min(", ".max(", ".all(",
-    ".any(", ".product(",
+    "sort",
+    "BTreeMap",
+    "BTreeSet",
+    ".sum(",
+    ".count(",
+    ".len(",
+    ".min(",
+    ".max(",
+    ".all(",
+    ".any(",
+    ".product(",
 ];
 
 impl Rule for NoUnorderedIteration {
@@ -593,7 +602,9 @@ fn statement_end(file: &SourceFile, start: usize) -> usize {
 /// casts owned by `float-cast-truncation` are out of scope.
 pub struct NoUnannotatedNarrowing;
 
-const NARROWING_CASTS: &[&str] = &[" as u8", " as u16", " as u32", " as i8", " as i16", " as i32"];
+const NARROWING_CASTS: &[&str] = &[
+    " as u8", " as u16", " as u32", " as i8", " as i16", " as i32",
+];
 
 impl Rule for NoUnannotatedNarrowing {
     fn id(&self) -> &'static str {
@@ -810,7 +821,9 @@ mod tests {
         for mac in ["eprintln!(\"x\")", "print!(\"x\")", "eprint!(\"x\")"] {
             let src = format!("fn f() {{ {mac}; }}\n");
             assert_eq!(
-                NoPrintlnInLib.check(&file("crates/x/src/lib.rs", &src)).len(),
+                NoPrintlnInLib
+                    .check(&file("crates/x/src/lib.rs", &src))
+                    .len(),
                 1,
                 "{mac} should fire"
             );
@@ -821,7 +834,9 @@ mod tests {
         assert!(!NoPrintlnInLib.applies_to(&file("crates/bench/src/report.rs", src)));
         // Mentions inside string literals are blanked out of the code view.
         let in_str = "fn f() { let s = \"println!(oops)\"; }\n";
-        assert!(NoPrintlnInLib.check(&file("crates/x/src/lib.rs", in_str)).is_empty());
+        assert!(NoPrintlnInLib
+            .check(&file("crates/x/src/lib.rs", in_str))
+            .is_empty());
     }
 
     #[test]
@@ -829,25 +844,38 @@ mod tests {
         let bad = "fn f() { panic!(\"no\"); }\n";
         assert_eq!(PanicAudit.check(&file("crates/x/src/a.rs", bad)).len(), 1);
         let good = "// INVARIANT: checked by caller\nfn f() { panic!(\"no\"); }\n";
-        assert!(PanicAudit.check(&file("crates/x/src/a.rs", good)).is_empty());
+        assert!(PanicAudit
+            .check(&file("crates/x/src/a.rs", good))
+            .is_empty());
     }
 
     #[test]
     fn pub_doc_rule_sees_docs_through_attributes() {
         let good = "/// Documented.\n#[derive(Debug)]\npub struct A;\n";
-        assert!(PubItemNeedsDoc.check(&file("crates/x/src/a.rs", good)).is_empty());
+        assert!(PubItemNeedsDoc
+            .check(&file("crates/x/src/a.rs", good))
+            .is_empty());
         // rustfmt-split multi-line derive between the doc and the item.
         let split = "/// Documented.\n#[derive(\n    Debug, Clone,\n)]\npub struct B;\n";
-        assert!(PubItemNeedsDoc.check(&file("crates/x/src/a.rs", split)).is_empty());
+        assert!(PubItemNeedsDoc
+            .check(&file("crates/x/src/a.rs", split))
+            .is_empty());
         let split_undoc = "#[derive(\n    Debug, Clone,\n)]\npub struct C;\n";
         assert_eq!(
-            PubItemNeedsDoc.check(&file("crates/x/src/a.rs", split_undoc)).len(),
+            PubItemNeedsDoc
+                .check(&file("crates/x/src/a.rs", split_undoc))
+                .len(),
             1
         );
         let bad = "pub fn undocd() {}\n";
-        assert_eq!(PubItemNeedsDoc.check(&file("crates/x/src/a.rs", bad)).len(), 1);
+        assert_eq!(
+            PubItemNeedsDoc.check(&file("crates/x/src/a.rs", bad)).len(),
+            1
+        );
         let scoped = "pub(crate) fn internal() {}\n";
-        assert!(PubItemNeedsDoc.check(&file("crates/x/src/a.rs", scoped)).is_empty());
+        assert!(PubItemNeedsDoc
+            .check(&file("crates/x/src/a.rs", scoped))
+            .is_empty());
     }
 
     #[test]
@@ -870,9 +898,11 @@ mod tests {
 
     #[test]
     fn capped_retry_loop_passes() {
-        for cap in ["if !policy.allows(n, elapsed) { return Err(e); }",
-                    "if n > max_attempts { break; }",
-                    "if elapsed > deadline { break; }"] {
+        for cap in [
+            "if !policy.allows(n, elapsed) { return Err(e); }",
+            "if n > max_attempts { break; }",
+            "if elapsed > deadline { break; }",
+        ] {
             let src = format!(
                 "fn f() {{\n    loop {{\n        {cap}\n        charge(policy.backoff(n, seed));\n    }}\n}}\n"
             );
@@ -885,10 +915,14 @@ mod tests {
     fn retry_rule_ignores_identifiers_and_nonretry_loops() {
         // `driveloop` is an identifier, not the keyword.
         let ident = "fn f() { let driveloop = retry_count; }\n";
-        assert!(NoUnboundedRetry.check(&file("crates/x/src/a.rs", ident)).is_empty());
+        assert!(NoUnboundedRetry
+            .check(&file("crates/x/src/a.rs", ident))
+            .is_empty());
         // A loop with no retry semantics is out of scope.
         let plain = "fn f() {\n    loop {\n        if done() { break; }\n    }\n}\n";
-        assert!(NoUnboundedRetry.check(&file("crates/x/src/a.rs", plain)).is_empty());
+        assert!(NoUnboundedRetry
+            .check(&file("crates/x/src/a.rs", plain))
+            .is_empty());
         // Bins are exempt, like the other abort-class rules.
         let bin = file("crates/x/src/bin/tool.rs", "fn main() {}");
         assert!(!NoUnboundedRetry.applies_to(&bin));
@@ -905,7 +939,12 @@ mod tests {
         let bench = file("crates/bench/src/bin/exp.rs", src);
         assert!(!NoWallclockInSim.applies_to(&bench));
         let sys = "fn f() { let t = SystemTime::now(); }\n";
-        assert_eq!(NoWallclockInSim.check(&file("crates/x/src/a.rs", sys)).len(), 1);
+        assert_eq!(
+            NoWallclockInSim
+                .check(&file("crates/x/src/a.rs", sys))
+                .len(),
+            1
+        );
     }
 
     #[test]
@@ -929,7 +968,8 @@ mod tests {
             .check(&file("crates/x/src/a.rs", sum))
             .is_empty());
         // Iteration with no order-sensitive sink is out of scope.
-        let plain = "fn f(s: HashSet<u32>) {\n    for v in s.iter() {\n        touch(v);\n    }\n}\n";
+        let plain =
+            "fn f(s: HashSet<u32>) {\n    for v in s.iter() {\n        touch(v);\n    }\n}\n";
         assert!(NoUnorderedIteration
             .check(&file("crates/x/src/a.rs", plain))
             .is_empty());
@@ -937,7 +977,8 @@ mod tests {
 
     #[test]
     fn unordered_iteration_into_rng_seed_fires() {
-        let bad = "fn f(s: HashSet<u64>) {\n    for v in s.iter() {\n        seed ^= v;\n    }\n}\n";
+        let bad =
+            "fn f(s: HashSet<u64>) {\n    for v in s.iter() {\n        seed ^= v;\n    }\n}\n";
         let found = NoUnorderedIteration.check(&file("crates/x/src/a.rs", bad));
         assert_eq!(found.len(), 1, "{found:?}");
     }
@@ -992,7 +1033,9 @@ mod tests {
             "let d = Tensor::from_vec(&s, v);",
             "let e = t.clone();",
         ] {
-            let src = format!("fn f() {{\n    // hot-kernel: begin\n    {needle}\n    // hot-kernel: end\n}}\n");
+            let src = format!(
+                "fn f() {{\n    // hot-kernel: begin\n    {needle}\n    // hot-kernel: end\n}}\n"
+            );
             let found = NoAllocInKernelLoop.check(&file("crates/nn/src/tensor.rs", &src));
             assert_eq!(found.len(), 1, "needle {needle:?} should fire: {found:?}");
         }

@@ -53,9 +53,11 @@ fn parse_args() -> Result<Args, String> {
                 args.write_baseline = Some(PathBuf::from(file));
             }
             "--help" | "-h" => {
-                return Err("usage: autolearn-analyze --workspace [--root DIR] [--json] \
+                return Err(
+                    "usage: autolearn-analyze --workspace [--root DIR] [--json] \
                             [--list-rules] [--baseline FILE | --write-baseline FILE]"
-                    .to_string())
+                        .to_string(),
+                )
             }
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }

@@ -12,8 +12,8 @@ use autolearn_nn::layers::{Activation, ActivationLayer, Dense, Layer};
 use autolearn_nn::models::ModelKind;
 use autolearn_nn::{Adam, Optimizer, Sequential, Tensor};
 use autolearn_sim::{
-    CameraConfig, CarConfig, Controls, DriveConfig, LinePilot, LinePilotConfig, Observation,
-    Pilot, Simulation,
+    CameraConfig, CarConfig, Controls, DriveConfig, LinePilot, LinePilotConfig, Observation, Pilot,
+    Simulation,
 };
 use autolearn_track::paper_oval;
 use autolearn_util::rng::derive_rng;

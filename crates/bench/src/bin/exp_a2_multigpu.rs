@@ -15,8 +15,16 @@ fn main() {
 
     // Two workloads: AutoLearn's small model, and a research-scale one.
     let workloads = [
-        ("autolearn-linear (300 kFLOP, 18k params)", TrainingCostModel::new(300_000, 400_000, 32), 18_500u64),
-        ("research CNN (500 MFLOP, 25M params)", TrainingCostModel::new(500_000_000, 400_000, 64), 25_000_000u64),
+        (
+            "autolearn-linear (300 kFLOP, 18k params)",
+            TrainingCostModel::new(300_000, 400_000, 32),
+            18_500u64,
+        ),
+        (
+            "research CNN (500 MFLOP, 25M params)",
+            TrainingCostModel::new(500_000_000, 400_000, 64),
+            25_000_000u64,
+        ),
     ];
 
     for (name, model, params) in &workloads {
@@ -26,16 +34,15 @@ fn main() {
             model,
             &dev,
             *params,
-            &MultiGpuConfig { gpus: 1, nvlink: true },
+            &MultiGpuConfig {
+                gpus: 1,
+                nvlink: true,
+            },
         );
         for gpus in [1u32, 2, 4] {
             for nvlink in [false, true] {
-                let t = multi_gpu_training_time(
-                    model,
-                    &dev,
-                    *params,
-                    &MultiGpuConfig { gpus, nvlink },
-                );
+                let t =
+                    multi_gpu_training_time(model, &dev, *params, &MultiGpuConfig { gpus, nvlink });
                 rows.push(vec![
                     gpus.to_string(),
                     if nvlink { "NVLink" } else { "PCIe" }.to_string(),

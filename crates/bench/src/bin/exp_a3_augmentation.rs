@@ -59,8 +59,7 @@ fn main() {
         );
         if reverse {
             let (pos, heading) = sim.track.start_pose();
-            sim.vehicle
-                .reset_to(pos, heading + std::f64::consts::PI);
+            sim.vehicle.reset_to(pos, heading + std::f64::consts::PI);
         }
         let mut pilot = ModelPilot::new(snapshot.restore());
         let s = sim.run(&mut pilot, 45.0);
@@ -68,13 +67,21 @@ fn main() {
     };
 
     let mut rows = Vec::new();
-    for (name, recs) in [("raw (one direction)", &records), ("mirror-augmented", &augmented)] {
+    for (name, recs) in [
+        ("raw (one direction)", &records),
+        ("mirror-augmented", &augmented),
+    ] {
         let snapshot = train(recs);
         for reverse in [false, true] {
             let (auto, crashes, v) = evaluate(&snapshot, reverse);
             rows.push(vec![
                 name.to_string(),
-                if reverse { "CW (unseen)" } else { "CCW (trained)" }.to_string(),
+                if reverse {
+                    "CW (unseen)"
+                } else {
+                    "CCW (trained)"
+                }
+                .to_string(),
                 format!("{:.1}%", auto * 100.0),
                 crashes.to_string(),
                 f(v, 2),
@@ -82,7 +89,13 @@ fn main() {
         }
     }
     print_table(
-        &["training set", "direction", "autonomy", "crashes", "v (m/s)"],
+        &[
+            "training set",
+            "direction",
+            "autonomy",
+            "crashes",
+            "v (m/s)",
+        ],
         &rows,
     );
 

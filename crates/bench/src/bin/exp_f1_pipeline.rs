@@ -26,7 +26,13 @@ fn main() {
         ]);
     }
     print_table(
-        &["pathway", "artifacts", "computation", "extensions", "needs car"],
+        &[
+            "pathway",
+            "artifacts",
+            "computation",
+            "extensions",
+            "needs car",
+        ],
         &rows,
     );
 
@@ -50,25 +56,43 @@ fn main() {
     print_table(
         &["metric", "value"],
         &[
-            vec!["records collected".into(), report.records_collected.to_string()],
-            vec!["records after clean".into(), report.records_cleaned.to_string()],
+            vec![
+                "records collected".into(),
+                report.records_collected.to_string(),
+            ],
+            vec![
+                "records after clean".into(),
+                report.records_cleaned.to_string(),
+            ],
             vec!["epochs".into(), report.train_report.epochs_ran.to_string()],
-            vec!["best val loss".into(), f(report.train_report.best_val_loss as f64, 4)],
+            vec![
+                "best val loss".into(),
+                f(report.train_report.best_val_loss as f64, 4),
+            ],
             vec!["eval laps".into(), report.eval_laps.to_string()],
-            vec!["eval autonomy".into(), format!("{:.1}%", report.eval_autonomy * 100.0)],
-            vec!["eval mean speed".into(), format!("{:.2} m/s", report.eval_mean_speed)],
+            vec![
+                "eval autonomy".into(),
+                format!("{:.1}%", report.eval_autonomy * 100.0),
+            ],
+            vec![
+                "eval mean speed".into(),
+                format!("{:.2} m/s", report.eval_mean_speed),
+            ],
         ],
     );
 
-    let (Some(provision), Some(train)) =
-        (report.stage("provision+upload"), report.stage("train"))
+    let (Some(provision), Some(train)) = (report.stage("provision+upload"), report.stage("train"))
     else {
         eprintln!("report is missing the provision/train stages; skipping shape check");
         return;
     };
     println!(
         "\nshape check: provisioning ({provision}) {} training ({train}) — {}",
-        if provision.as_secs() > train.as_secs() { ">" } else { "<=" },
+        if provision.as_secs() > train.as_secs() {
+            ">"
+        } else {
+            "<="
+        },
         if provision.as_secs() > train.as_secs() {
             "matches the student experience the paper designs around"
         } else {

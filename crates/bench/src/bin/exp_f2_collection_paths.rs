@@ -19,9 +19,7 @@ fn main() {
     for path in CollectionPath::all() {
         let records = match path {
             CollectionPath::SampleDataset => sample_dataset(&track, 2400, 42),
-            _ => {
-                collect_session(&track, &CollectConfig::new(path, duration, 42)).records
-            }
+            _ => collect_session(&track, &CollectConfig::new(path, duration, 42)).records,
         };
         let stats = TubStats::compute(&records, 15);
         let mean_intensity: f64 = records
@@ -43,7 +41,13 @@ fn main() {
     }
     print_table(
         &[
-            "path", "records", "hz", "steer std", "straight frac", "off-track", "crashes",
+            "path",
+            "records",
+            "hz",
+            "steer std",
+            "straight frac",
+            "off-track",
+            "crashes",
             "mean px",
         ],
         &rows,

@@ -29,7 +29,14 @@ fn main() {
         })
         .collect();
     print_table(
-        &["track", "centerline (m)", "inner (in)", "outer (in)", "width (in)", "max |k| (1/m)"],
+        &[
+            "track",
+            "centerline (m)",
+            "inner (in)",
+            "outer (in)",
+            "width (in)",
+            "max |k| (1/m)",
+        ],
         &rows,
     );
     println!("  paper's oval: inner 330 in, outer 509 in, average width 27.59 in\n");
@@ -51,7 +58,15 @@ fn main() {
         ]);
     }
     print_table(
-        &["track", "val loss", "laps", "lap time (s)", "autonomy", "v (m/s)", "crashes"],
+        &[
+            "track",
+            "val loss",
+            "laps",
+            "lap time (s)",
+            "autonomy",
+            "v (m/s)",
+            "crashes",
+        ],
         &rows,
     );
     println!("\nshape check: the oval's measured tape lengths reproduce the paper's");

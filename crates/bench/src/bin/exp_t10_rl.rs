@@ -49,7 +49,11 @@ fn main() {
         "\nmean return: first 8 episodes {:.2} → last 8 episodes {:.2} ({})",
         first,
         last,
-        if last > first { "IMPROVED" } else { "no improvement" }
+        if last > first {
+            "IMPROVED"
+        } else {
+            "no improvement"
+        }
     );
 
     let ml = policy.mean(&Tensor::from_vec(&[1, 4], vec![0.3, 0.0, 0.4, 0.3]));
@@ -58,7 +62,12 @@ fn main() {
         "policy steering: left-of-line → {:.2}, right-of-line → {:.2} ({})",
         ml,
         mr,
-        if ml < mr { "corrective" } else // steer right when left of line
-        { "not yet corrective" }
+        if ml < mr {
+            "corrective"
+        } else
+        // steer right when left of line
+        {
+            "not yet corrective"
+        }
     );
 }

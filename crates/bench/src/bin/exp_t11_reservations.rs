@@ -49,7 +49,13 @@ fn trial(bg_jobs: usize, advance: bool, seed: u64) -> bool {
         let t = rng.gen_range(0.0..7.0 * 86_400.0);
         let nodes = rng.gen_range(1..=3);
         let dur = rng.gen_range(2.0..24.0) * 3600.0;
-        let _ = rs.on_demand("research", "gpu_v100", nodes, SimTime::from_secs(t), SimDuration::from_secs(dur));
+        let _ = rs.on_demand(
+            "research",
+            "gpu_v100",
+            nodes,
+            SimTime::from_secs(t),
+            SimDuration::from_secs(dur),
+        );
     }
 
     if advance {
@@ -80,7 +86,11 @@ fn main() {
         ]);
     }
     print_table(
-        &["background jobs/week", "advance blocked (%)", "on-demand blocked (%)"],
+        &[
+            "background jobs/week",
+            "advance blocked (%)",
+            "on-demand blocked (%)",
+        ],
         &rows,
     );
     println!("\nshape check: the advance column stays at 0% — the guarantee the");

@@ -50,8 +50,15 @@ fn main() {
     }
     print_table(
         &[
-            "model", "params", "kflops", "V100 train", "val loss", "autonomy", "v (m/s)",
-            "err/lap", "score",
+            "model",
+            "params",
+            "kflops",
+            "V100 train",
+            "val loss",
+            "autonomy",
+            "v (m/s)",
+            "err/lap",
+            "score",
         ],
         &rows,
     );

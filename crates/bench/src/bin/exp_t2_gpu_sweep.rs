@@ -26,7 +26,12 @@ fn main() {
         ..Default::default()
     };
 
-    let kinds = [ModelKind::Linear, ModelKind::Categorical, ModelKind::Rnn, ModelKind::ThreeD];
+    let kinds = [
+        ModelKind::Linear,
+        ModelKind::Categorical,
+        ModelKind::Rnn,
+        ModelKind::ThreeD,
+    ];
     let mut devices: Vec<ComputeDevice> = GpuKind::paper_tested()
         .iter()
         .map(|&g| ComputeDevice::of_gpu(g))
@@ -42,9 +47,8 @@ fn main() {
         for kind in kinds {
             let model = CarModel::build(kind, &cfg);
             let cost = TrainingCostModel::new(model.flops_per_inference(), examples, 32);
-            let compute = SimDuration::from_secs(
-                cost.total_train_flops() / (device.sustained_gflops * 1e9),
-            );
+            let compute =
+                SimDuration::from_secs(cost.total_train_flops() / (device.sustained_gflops * 1e9));
             let total = training_time(&cost, device);
             row.push(format!("{compute} / {total}"));
         }

@@ -59,9 +59,7 @@ fn main() {
             }
             if p.name() == "cloud" && quality_crossover.is_none() {
                 if let Some((edge_auto, edge_crashes)) = edge_baseline {
-                    if session.autonomy() < edge_auto - 0.02
-                        || session.crashes > edge_crashes + 2
-                    {
+                    if session.autonomy() < edge_auto - 0.02 || session.crashes > edge_crashes + 2 {
                         quality_crossover = Some(rtt_ms);
                     }
                 }
@@ -81,8 +79,15 @@ fn main() {
     }
     print_table(
         &[
-            "rtt (ms)", "placement", "lat mean", "lat p95", "cloud hit", "safe v", "autonomy",
-            "v (m/s)", "crashes",
+            "rtt (ms)",
+            "placement",
+            "lat mean",
+            "lat p95",
+            "cloud hit",
+            "safe v",
+            "autonomy",
+            "v (m/s)",
+            "crashes",
         ],
         &rows,
     );

@@ -64,7 +64,15 @@ fn main() {
         }
     }
     print_table(
-        &["rtt (ms)", "mode", "cloud frac", "stale ticks", "autonomy", "v (m/s)", "crashes"],
+        &[
+            "rtt (ms)",
+            "mode",
+            "cloud frac",
+            "stale ticks",
+            "autonomy",
+            "v (m/s)",
+            "crashes",
+        ],
         &rows,
     );
 

@@ -66,7 +66,15 @@ fn main() {
         }
     }
     print_table(
-        &["trial", "controller", "laps", "lap time (s)", "lap CV (%)", "v (m/s)", "err/lap"],
+        &[
+            "trial",
+            "controller",
+            "laps",
+            "lap time (s)",
+            "lap CV (%)",
+            "v (m/s)",
+            "err/lap",
+        ],
         &rows,
     );
 

@@ -15,7 +15,11 @@ fn main() {
     let track = paper_oval();
     let records = simulator_records(&track, 150.0, 21);
 
-    let kinds = [ModelKind::Linear, ModelKind::Inferred, ModelKind::Categorical];
+    let kinds = [
+        ModelKind::Linear,
+        ModelKind::Inferred,
+        ModelKind::Categorical,
+    ];
     let mut rows = Vec::new();
     let mut sim_rank = Vec::new();
     let mut real_rank = Vec::new();
@@ -37,7 +41,13 @@ fn main() {
     }
     print_table(
         &[
-            "model", "sim auto", "real auto", "sim v", "real v", "speed gap", "divergence (m)",
+            "model",
+            "sim auto",
+            "real auto",
+            "sim v",
+            "real v",
+            "speed gap",
+            "divergence (m)",
             "laps s/r",
         ],
         &rows,
@@ -56,6 +66,10 @@ fn main() {
     );
     println!(
         "shape check: top model transfers sim→real: {}",
-        if so[0] == ro[0] { "YES" } else { "NO (twin gap dominates)" }
+        if so[0] == ro[0] {
+            "YES"
+        } else {
+            "NO (twin gap dominates)"
+        }
     );
 }

@@ -20,10 +20,26 @@ fn main() {
     print_table(
         &["metric", "paper (§5)", "reproduced"],
         &[
-            vec!["launch clicks".into(), "35".into(), m.launch_clicks.to_string()],
-            vec!["users who clicked".into(), "9".into(), m.unique_launch_users.to_string()],
-            vec!["users executing ≥1 cell".into(), "2".into(), m.users_executed.to_string()],
-            vec!["published versions".into(), "8".into(), artifact.version_count().to_string()],
+            vec![
+                "launch clicks".into(),
+                "35".into(),
+                m.launch_clicks.to_string(),
+            ],
+            vec![
+                "users who clicked".into(),
+                "9".into(),
+                m.unique_launch_users.to_string(),
+            ],
+            vec![
+                "users executing ≥1 cell".into(),
+                "2".into(),
+                m.users_executed.to_string(),
+            ],
+            vec![
+                "published versions".into(),
+                "8".into(),
+                artifact.version_count().to_string(),
+            ],
         ],
     );
 
@@ -42,7 +58,14 @@ fn main() {
         ]);
     }
     print_table(
-        &["p(click)", "p(execute)", "views", "clickers", "executors", "view→execute (%)"],
+        &[
+            "p(click)",
+            "p(execute)",
+            "views",
+            "clickers",
+            "executors",
+            "view→execute (%)",
+        ],
         &rows,
     );
     println!("\nthe funnel narrows at every stage under all assumptions; at the");

@@ -7,8 +7,8 @@
 //! reproduction's faster-converging synthetic camera; the *shape* is the
 //! claim, as everywhere in this harness.)
 
-use autolearn_bench::{evaluate_model, f, print_table, train_model};
 use autolearn::collect::sample_dataset;
+use autolearn_bench::{evaluate_model, f, print_table, train_model};
 use autolearn_nn::models::ModelKind;
 use autolearn_track::paper_oval;
 

@@ -29,10 +29,7 @@ fn main() {
             .collect();
         print_table(&["step", "duration", "attended"], &rows);
         let z = ByodWorkflow::timing(&steps);
-        println!(
-            "  total {} ({} attended)\n",
-            z.total, z.attended
-        );
+        println!("  total {} ({} attended)\n", z.total, z.attended);
     }
 
     let byod = ByodWorkflow::timing(&ByodWorkflow::chi_at_edge());

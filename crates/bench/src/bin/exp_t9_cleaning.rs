@@ -58,13 +58,24 @@ fn main() {
         ]);
     }
     print_table(
-        &["training set", "records", "val loss", "autonomy", "v (m/s)", "crashes"],
+        &[
+            "training set",
+            "records",
+            "val loss",
+            "autonomy",
+            "v (m/s)",
+            "crashes",
+        ],
         &rows,
     );
 
     let better = results[1].2 >= results[0].2 || results[1].1 <= results[0].1;
     println!(
         "\nshape check: cleaned training set {} the dirty one",
-        if better { "matches or beats" } else { "UNEXPECTEDLY trails" }
+        if better {
+            "matches or beats"
+        } else {
+            "UNEXPECTEDLY trails"
+        }
     );
 }

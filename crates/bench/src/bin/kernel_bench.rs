@@ -303,10 +303,11 @@ fn run_check(results: &[CaseResult], snapshot_path: &str) -> i32 {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let check_path = args
-        .iter()
-        .position(|a| a == "--check")
-        .map(|i| args.get(i + 1).cloned().unwrap_or_else(|| "BENCH_kernels.json".into()));
+    let check_path = args.iter().position(|a| a == "--check").map(|i| {
+        args.get(i + 1)
+            .cloned()
+            .unwrap_or_else(|| "BENCH_kernels.json".into())
+    });
     // Full run: DonkeyCar camera at batch 32. Smoke: one iteration at a
     // shrunken frame so CI proves the harness without the measurement cost.
     let (iters, batch, h, w, t) = if smoke {

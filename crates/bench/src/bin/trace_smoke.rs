@@ -127,7 +127,11 @@ fn main() {
 
     // Chaos made it into the trace: injected faults and retried attempts
     // appear as events/spans, not just as a final error code.
-    check(faults > 0, "fault plan injected at least one fault", &mut status);
+    check(
+        faults > 0,
+        "fault plan injected at least one fault",
+        &mut status,
+    );
     check(
         trace_a.contains("\"name\":\"fault\""),
         "fault injections recorded as events",

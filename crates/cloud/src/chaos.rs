@@ -245,7 +245,11 @@ mod tests {
                 &mut plan,
                 &mut obs,
             );
-            assert_eq!(launch(&mut plain), observed, "telemetry must not change outcome");
+            assert_eq!(
+                launch(&mut plain),
+                observed,
+                "telemetry must not change outcome"
+            );
             assert_eq!(obs.metrics().counter("cloud.launch_attempts"), 1);
             match observed {
                 Ok(l) => {

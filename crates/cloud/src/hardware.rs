@@ -286,7 +286,10 @@ mod tests {
 
     #[test]
     fn node_type_names_stable() {
-        assert_eq!(NodeType::gpu_node(GpuKind::V100NvLink, 4).name, "gpu_v100-nvlink");
+        assert_eq!(
+            NodeType::gpu_node(GpuKind::V100NvLink, 4).name,
+            "gpu_v100-nvlink"
+        );
         assert_eq!(NodeType::compute_node().gpu, None);
     }
 

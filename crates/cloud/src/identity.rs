@@ -209,13 +209,21 @@ mod tests {
     #[test]
     fn allocation_exhaustion_blocks() {
         let mut svc = service_with_class();
-        assert!(svc.authorize_and_charge("prof", "autolearn-class", 990.0).is_ok());
+        assert!(svc
+            .authorize_and_charge("prof", "autolearn-class", 990.0)
+            .is_ok());
         assert!(matches!(
             svc.authorize_and_charge("prof", "autolearn-class", 20.0),
             Err(IdentityError::AllocationExhausted(_))
         ));
         assert!(
-            (svc.project("autolearn-class").unwrap().allocation.remaining() - 10.0).abs() < 1e-9
+            (svc.project("autolearn-class")
+                .unwrap()
+                .allocation
+                .remaining()
+                - 10.0)
+                .abs()
+                < 1e-9
         );
     }
 

@@ -72,14 +72,17 @@ impl ObjectStore {
         metadata: BTreeMap<String, String>,
     ) -> u64 {
         let etag = etag_of(&data);
-        self.containers.entry(container.to_string()).or_default().insert(
-            name.to_string(),
-            StoredObject {
-                data,
-                etag,
-                metadata,
-            },
-        );
+        self.containers
+            .entry(container.to_string())
+            .or_default()
+            .insert(
+                name.to_string(),
+                StoredObject {
+                    data,
+                    etag,
+                    metadata,
+                },
+            );
         etag
     }
 

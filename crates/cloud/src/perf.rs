@@ -206,8 +206,24 @@ mod tests {
         let m = TrainingCostModel::new(500_000_000, 400_000, 64);
         let dev = ComputeDevice::of_gpu(GpuKind::V100);
         let params = 2_000_000u64;
-        let one = multi_gpu_training_time(&m, &dev, params, &MultiGpuConfig { gpus: 1, nvlink: true });
-        let four = multi_gpu_training_time(&m, &dev, params, &MultiGpuConfig { gpus: 4, nvlink: true });
+        let one = multi_gpu_training_time(
+            &m,
+            &dev,
+            params,
+            &MultiGpuConfig {
+                gpus: 1,
+                nvlink: true,
+            },
+        );
+        let four = multi_gpu_training_time(
+            &m,
+            &dev,
+            params,
+            &MultiGpuConfig {
+                gpus: 4,
+                nvlink: true,
+            },
+        );
         let speedup = one.as_secs() / four.as_secs();
         assert!(speedup > 2.0, "speedup {speedup}");
         assert!(speedup < 4.0, "speedup {speedup} cannot be superlinear");
@@ -220,9 +236,24 @@ mod tests {
         let m = TrainingCostModel::new(100_000_000, 400_000, 64);
         let dev = ComputeDevice::of_gpu(GpuKind::V100);
         let params = 10_000_000u64;
-        let nv = multi_gpu_training_time(&m, &dev, params, &MultiGpuConfig { gpus: 4, nvlink: true });
-        let pcie =
-            multi_gpu_training_time(&m, &dev, params, &MultiGpuConfig { gpus: 4, nvlink: false });
+        let nv = multi_gpu_training_time(
+            &m,
+            &dev,
+            params,
+            &MultiGpuConfig {
+                gpus: 4,
+                nvlink: true,
+            },
+        );
+        let pcie = multi_gpu_training_time(
+            &m,
+            &dev,
+            params,
+            &MultiGpuConfig {
+                gpus: 4,
+                nvlink: false,
+            },
+        );
         assert!(
             nv.as_secs() < pcie.as_secs() * 0.9,
             "nvlink {nv} vs pcie {pcie}"
@@ -231,7 +262,10 @@ mod tests {
 
     #[test]
     fn single_gpu_pays_no_allreduce() {
-        let cfg = MultiGpuConfig { gpus: 1, nvlink: false };
+        let cfg = MultiGpuConfig {
+            gpus: 1,
+            nvlink: false,
+        };
         assert_eq!(cfg.allreduce_s(10_000_000), 0.0);
         let m = TrainingCostModel::new(1_000_000, 10_000, 32);
         let dev = ComputeDevice::of_gpu(GpuKind::A100);
@@ -246,8 +280,24 @@ mod tests {
         // divided compute, so 4 GPUs buy nothing (an honest ablation).
         let m = TrainingCostModel::new(300_000, 72_000, 32);
         let dev = ComputeDevice::of_gpu(GpuKind::V100);
-        let one = multi_gpu_training_time(&m, &dev, 18_500, &MultiGpuConfig { gpus: 1, nvlink: true });
-        let four = multi_gpu_training_time(&m, &dev, 18_500, &MultiGpuConfig { gpus: 4, nvlink: true });
+        let one = multi_gpu_training_time(
+            &m,
+            &dev,
+            18_500,
+            &MultiGpuConfig {
+                gpus: 1,
+                nvlink: true,
+            },
+        );
+        let four = multi_gpu_training_time(
+            &m,
+            &dev,
+            18_500,
+            &MultiGpuConfig {
+                gpus: 4,
+                nvlink: true,
+            },
+        );
         assert!(four.as_secs() > one.as_secs() * 0.95, "{four} vs {one}");
     }
 }

@@ -125,7 +125,10 @@ mod tests {
     fn state_machine_progresses_in_order() {
         let plan = ProvisioningPlan::cuda_image(SimDuration::from_mins(1.0));
         let p = Provisioner::start(plan, SimTime::from_secs(100.0));
-        assert_eq!(p.state_at(SimTime::from_secs(100.0)), ProvisionState::Queued);
+        assert_eq!(
+            p.state_at(SimTime::from_secs(100.0)),
+            ProvisionState::Queued
+        );
         assert_eq!(
             p.state_at(SimTime::from_secs(100.0 + 60.0)),
             ProvisionState::DeployingImage
@@ -135,10 +138,7 @@ mod tests {
             ProvisionState::ConfiguringSoftware
         );
         assert_eq!(p.state_at(p.ready_at()), ProvisionState::Ready);
-        assert_eq!(
-            p.state_at(SimTime::from_secs(1e9)),
-            ProvisionState::Ready
-        );
+        assert_eq!(p.state_at(SimTime::from_secs(1e9)), ProvisionState::Ready);
     }
 
     #[test]

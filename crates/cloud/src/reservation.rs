@@ -48,7 +48,10 @@ pub enum ReservationError {
     UnknownNodeType(String),
     /// Not enough capacity in the window; carries the worst-case number of
     /// free nodes over the window.
-    InsufficientCapacity { free: u32, requested: u32 },
+    InsufficientCapacity {
+        free: u32,
+        requested: u32,
+    },
     InvalidWindow,
 }
 
@@ -304,9 +307,25 @@ mod tests {
         let class = rs.reserve("class", "gpu_v100", 2, t(1000.0), t(2000.0));
         assert!(class.is_ok());
         // Walk-in wants a long job spanning the class window → refused.
-        assert!(rs.on_demand("walkin", "gpu_v100", 1, t(900.0), SimDuration::from_secs(300.0)).is_err());
+        assert!(rs
+            .on_demand(
+                "walkin",
+                "gpu_v100",
+                1,
+                t(900.0),
+                SimDuration::from_secs(300.0)
+            )
+            .is_err());
         // Short job ending before the class starts → fine.
-        assert!(rs.on_demand("walkin", "gpu_v100", 1, t(900.0), SimDuration::from_secs(50.0)).is_ok());
+        assert!(rs
+            .on_demand(
+                "walkin",
+                "gpu_v100",
+                1,
+                t(900.0),
+                SimDuration::from_secs(50.0)
+            )
+            .is_ok());
     }
 
     #[test]
@@ -341,7 +360,9 @@ mod tests {
         let mut rs = ReservationSystem::new(tiny_site());
         rs.reserve("a", "gpu_v100", 1, t(0.0), t(100.0)).unwrap();
         rs.reserve("b", "gpu_v100", 1, t(40.0), t(60.0)).unwrap();
-        let err = rs.reserve("c", "gpu_v100", 2, t(0.0), t(100.0)).unwrap_err();
+        let err = rs
+            .reserve("c", "gpu_v100", 2, t(0.0), t(100.0))
+            .unwrap_err();
         assert_eq!(
             err,
             ReservationError::InsufficientCapacity {

@@ -7,8 +7,7 @@
 //! "mix and match" design.
 
 use autolearn_sim::{
-    CameraConfig, CarConfig, DriveConfig, LinePilot, LinePilotConfig, SessionResult,
-    Simulation,
+    CameraConfig, CarConfig, DriveConfig, LinePilot, LinePilotConfig, SessionResult, Simulation,
 };
 use autolearn_track::Track;
 use autolearn_tub::{DriveMode, Record};
@@ -205,7 +204,9 @@ mod tests {
         cfg.constant_throttle = Some(0.42);
         let c = collect_session(&track(), &cfg);
         // After warm-up every record carries the fixed throttle.
-        assert!(c.records[20..].iter().all(|r| (r.throttle - 0.42).abs() < 1e-6));
+        assert!(c.records[20..]
+            .iter()
+            .all(|r| (r.throttle - 0.42).abs() < 1e-6));
     }
 
     #[test]

@@ -76,15 +76,7 @@ pub fn mirror_augment(records: &[Record]) -> Vec<Record> {
 pub fn tub_bytes_estimate(records: &[Record]) -> Bytes {
     records
         .iter()
-        .map(|r| {
-            Bytes::new(
-                150 + r
-                    .image
-                    .as_ref()
-                    .map(|i| i.len() as u64 + 12)
-                    .unwrap_or(0),
-            )
-        })
+        .map(|r| Bytes::new(150 + r.image.as_ref().map(|i| i.len() as u64 + 12).unwrap_or(0)))
         .sum()
 }
 
@@ -132,7 +124,9 @@ mod tests {
 
     #[test]
     fn dataset_aligns_targets() {
-        let records: Vec<Record> = (0..10).map(|i| record_with_gradient(i, 40, 30, 1)).collect();
+        let records: Vec<Record> = (0..10)
+            .map(|i| record_with_gradient(i, 40, 30, 1))
+            .collect();
         let d = records_to_dataset(&records, &cfg());
         assert_eq!(d.len(), 10);
         assert_eq!(d.inputs()[0].shape(), &[10, 1, 30, 40]);
@@ -141,8 +135,7 @@ mod tests {
 
     #[test]
     fn dataset_is_the_stacked_frame_inputs() {
-        let mut records: Vec<Record> =
-            (0..6).map(|i| record_with_gradient(i, 80, 60, 3)).collect();
+        let mut records: Vec<Record> = (0..6).map(|i| record_with_gradient(i, 80, 60, 3)).collect();
         records[4].image = None;
         let d = records_to_dataset(&records, &cfg());
         let frames: Vec<Tensor> = records
@@ -154,8 +147,7 @@ mod tests {
 
     #[test]
     fn records_without_images_skipped() {
-        let mut records: Vec<Record> =
-            (0..5).map(|i| record_with_gradient(i, 40, 30, 1)).collect();
+        let mut records: Vec<Record> = (0..5).map(|i| record_with_gradient(i, 40, 30, 1)).collect();
         records[2].image = None;
         let d = records_to_dataset(&records, &cfg());
         assert_eq!(d.len(), 4);
@@ -197,8 +189,12 @@ mod tests {
 
     #[test]
     fn byte_estimate_scales_with_resolution() {
-        let small: Vec<Record> = (0..10).map(|i| record_with_gradient(i, 40, 30, 1)).collect();
-        let large: Vec<Record> = (0..10).map(|i| record_with_gradient(i, 160, 120, 3)).collect();
+        let small: Vec<Record> = (0..10)
+            .map(|i| record_with_gradient(i, 40, 30, 1))
+            .collect();
+        let large: Vec<Record> = (0..10)
+            .map(|i| record_with_gradient(i, 160, 120, 3))
+            .collect();
         assert!(tub_bytes_estimate(&large) > tub_bytes_estimate(&small) * 10);
         // 40x30x1 + 12 + 150 = 1362 per record.
         assert_eq!(tub_bytes_estimate(&small), Bytes::new(10 * 1362));

@@ -203,8 +203,8 @@ impl Pilot for VisionLinePilot {
             return Controls::new(0.0, 0.15);
         }
         let centroid = weighted / count / (gray.width as f64 - 1.0); // 0..1
-        // Centroid right of centre (image x grows right) → steer right
-        // (negative steering, since positive steering is left).
+                                                                     // Centroid right of centre (image x grows right) → steer right
+                                                                     // (negative steering, since positive steering is left).
         let err = centroid - 0.5;
         Controls::new(-self.steering_gain * err, self.throttle)
     }
@@ -499,7 +499,10 @@ mod tests {
         for px in img.data.iter_mut() {
             *px = 100;
         }
-        assert_eq!(ObstacleBrake::<VisionLinePilot>::obstacle_fraction(&img), 0.0);
+        assert_eq!(
+            ObstacleBrake::<VisionLinePilot>::obstacle_fraction(&img),
+            0.0
+        );
         // Red patch dead ahead (middle band of the frame).
         for y in 8..14 {
             for x in 8..12 {

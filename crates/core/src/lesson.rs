@@ -132,9 +132,14 @@ mod tests {
     fn lesson_executes_cells_and_pipeline() {
         let mut hub = TroviHub::new();
         let track = circle_track(3.0, 0.8);
-        let (lesson, pipeline) =
-            run_digital_lesson(&mut hub, "selflearner", &track, quick_config(), SimTime::ZERO)
-                .expect("lesson pipeline succeeds");
+        let (lesson, pipeline) = run_digital_lesson(
+            &mut hub,
+            "selflearner",
+            &track,
+            quick_config(),
+            SimTime::ZERO,
+        )
+        .expect("lesson pipeline succeeds");
 
         // Every *code* cell executed (markdown cells don't count — that is
         // Trovi's definition).

@@ -134,11 +134,7 @@ impl Materials {
                     "digital twin modeling",
                 ],
             ),
-            Document::new(
-                "TA checklist",
-                Educator,
-                &["see TaChecklist::standard()"],
-            ),
+            Document::new("TA checklist", Educator, &["see TaChecklist::standard()"]),
             Document::new(
                 "Car setup and driving guide",
                 Student,

@@ -43,10 +43,10 @@ use autolearn_nn::{
     format_contract_errors, format_errors, standard_stages, validate_pipeline, ContractError,
     ContractReport, DType, Dataset, FrameContract, GraphError, TrainConfig, TrainReport, Trainer,
 };
+use autolearn_obs::{attr, AttrValue, Obs, SpanId, Trace};
 use autolearn_sim::{CarConfig, DriveConfig, Simulation};
 use autolearn_track::Track;
 use autolearn_tub::{CleanConfig, Record, TubCleaner};
-use autolearn_obs::{attr, AttrValue, Obs, SpanId, Trace};
 use autolearn_util::fault::{FaultPlan, InjectedFault};
 use autolearn_util::{derive_seed, Bytes, Epochs, RetryPolicy, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -245,12 +245,18 @@ impl std::fmt::Display for PipelineError {
                 stage,
                 attempts,
                 last_error,
-            } => write!(f, "stage '{stage}' failed after {attempts} attempts: {last_error}"),
+            } => write!(
+                f,
+                "stage '{stage}' failed after {attempts} attempts: {last_error}"
+            ),
             PipelineError::DeadlineExceeded {
                 stage,
                 elapsed,
                 deadline,
-            } => write!(f, "stage '{stage}' blew its {deadline} deadline (spent {elapsed})"),
+            } => write!(
+                f,
+                "stage '{stage}' blew its {deadline} deadline (spent {elapsed})"
+            ),
         }
     }
 }
@@ -420,9 +426,7 @@ fn training_set(
     Ok(match spec {
         // A frame model trains on the frame dataset itself, not a copy.
         InputSpec::Frames => dataset,
-        InputSpec::Sequence(_) | InputSpec::FramesWithHistory(_) => {
-            prepare_dataset(&dataset, spec)
-        }
+        InputSpec::Sequence(_) | InputSpec::FramesWithHistory(_) => prepare_dataset(&dataset, spec),
     })
 }
 
@@ -714,11 +718,10 @@ impl Pipeline {
         // Each simulated run at the training work (the clean one, or the
         // preempted half plus the resumed half) becomes an `attempt` span,
         // same shape as the retried stages'.
-        let train_attempt =
-            |obs: &mut Obs, attempt: u32, outcome: &str, charged: SimDuration| {
-                let span = open_attempt(obs, "train", attempt);
-                close_attempt(obs, span, outcome, charged, SimDuration::ZERO);
-            };
+        let train_attempt = |obs: &mut Obs, attempt: u32, outcome: &str, charged: SimDuration| {
+            let span = open_attempt(obs, "train", attempt);
+            close_attempt(obs, span, outcome, charged, SimDuration::ZERO);
+        };
         let base_train = training_time(&cost, &ComputeDevice::of_gpu(gpu_used));
         let train_time = match preempt.take() {
             None => {
@@ -830,10 +833,7 @@ impl Pipeline {
                     .clone()
                     .with_noise(6.0, cfg.collection.seed ^ 0xe7a1),
             ),
-            _ => (
-                CarConfig::default(),
-                cfg.collection.camera.clone(),
-            ),
+            _ => (CarConfig::default(), cfg.collection.camera.clone()),
         };
         let mut sim = Simulation::new(
             self.track.clone(),
@@ -1021,12 +1021,7 @@ mod tests {
             let chain = fallback_chain(preferred);
             assert_eq!(chain[0], preferred);
             for pair in chain.windows(2) {
-                assert!(
-                    eff(pair[0]) > eff(pair[1]),
-                    "{} !> {}",
-                    pair[0],
-                    pair[1]
-                );
+                assert!(eff(pair[0]) > eff(pair[1]), "{} !> {}", pair[0], pair[1]);
             }
         }
         // K80 is the floor: nothing to fall back to.
@@ -1060,9 +1055,7 @@ mod tests {
                 })
                 .collect()
         };
-        let failed = |r: Result<Dataset, PipelineError>| {
-            matches!(r, Err(PipelineError::StageFailed { ref stage, .. }) if stage == "train")
-        };
+        let failed = |r: Result<Dataset, PipelineError>| matches!(r, Err(PipelineError::StageFailed { ref stage, .. }) if stage == "train");
         for spec in [InputSpec::Frames, InputSpec::FramesWithHistory(4)] {
             assert!(failed(training_set(&records(1), &cfg, spec)));
             assert_eq!(
@@ -1142,7 +1135,11 @@ mod tests {
             .iter()
             .map(|a| a.charged.as_secs() + a.backoff.as_secs())
             .sum();
-        assert_eq!(total, elapsed.as_secs(), "durations must round-trip exactly");
+        assert_eq!(
+            total,
+            elapsed.as_secs(),
+            "durations must round-trip exactly"
+        );
         assert_eq!(log.attempts[0].stage, "flaky");
         assert_eq!(log.attempts[0].attempt, 1);
         assert_eq!(log.attempts[0].outcome, "transient");
@@ -1186,7 +1183,11 @@ mod tests {
                 .spans_named(stage)
                 .next()
                 .unwrap_or_else(|| panic!("missing span {stage}"));
-            assert_eq!(span.parent, Some(autolearn_obs::SpanId(0)), "{stage} not under root");
+            assert_eq!(
+                span.parent,
+                Some(autolearn_obs::SpanId(0)),
+                "{stage} not under root"
+            );
         }
         // The run log reconstructed from the trace matches what run_chaos
         // would have recorded.

@@ -194,7 +194,12 @@ mod tests {
         // Small model: edge wins (RTT dominates).
         let le = edge.latency(SMALL, SMALL, 500, 2);
         let lc = cloud.latency(SMALL, SMALL, 500, 2);
-        assert!(lc.mean_s > le.mean_s, "cloud {} vs edge {}", lc.mean_s, le.mean_s);
+        assert!(
+            lc.mean_s > le.mean_s,
+            "cloud {} vs edge {}",
+            lc.mean_s,
+            le.mean_s
+        );
         // Huge model: cloud wins (Pi compute dominates).
         let le_big = edge.latency(LARGE * 10, LARGE * 10, 500, 3);
         let lc_big = cloud.latency(LARGE * 10, LARGE * 10, 500, 3);
@@ -235,7 +240,10 @@ mod tests {
         let edge_l = InferencePlacement::Edge { device: pi() }
             .latency(SMALL, SMALL, 1, 0)
             .mean_s;
-        assert!((ls.mean_s - edge_l).abs() < 1e-6, "fallback must cost edge latency");
+        assert!(
+            (ls.mean_s - edge_l).abs() < 1e-6,
+            "fallback must cost edge latency"
+        );
     }
 
     #[test]

@@ -72,8 +72,7 @@ impl RemoteInferencePilot {
         seed: u64,
     ) -> RemoteInferencePilot {
         let cloud_infer = inference_latency(cloud_model.flops_per_inference(), gpu).as_secs();
-        let edge_infer =
-            inference_latency(edge_model.flops_per_inference(), edge_device).as_secs();
+        let edge_infer = inference_latency(edge_model.flops_per_inference(), edge_device).as_secs();
         RemoteInferencePilot {
             edge_model: Some(edge_model),
             cloud_model,

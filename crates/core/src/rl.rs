@@ -9,7 +9,9 @@
 
 use autolearn_nn::layers::{Activation, ActivationLayer, Dense, Layer};
 use autolearn_nn::{Adam, Optimizer, Sequential, Tensor};
-use autolearn_sim::{CameraConfig, CarConfig, Controls, DriveConfig, Observation, Pilot, Simulation};
+use autolearn_sim::{
+    CameraConfig, CarConfig, Controls, DriveConfig, Observation, Pilot, Simulation,
+};
 use autolearn_track::Track;
 use autolearn_util::rng::derive_rng;
 use rand::rngs::StdRng;

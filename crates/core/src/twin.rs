@@ -127,7 +127,11 @@ mod tests {
         let report = twin_compare(&mut model, &track, 30.0, 21);
 
         // The sim-trained model should drive the clean sim well.
-        assert!(report.sim_autonomy > 0.9, "sim autonomy {}", report.sim_autonomy);
+        assert!(
+            report.sim_autonomy > 0.9,
+            "sim autonomy {}",
+            report.sim_autonomy
+        );
         // The noisy world is never *better* behaved than the clean twin by
         // a wide margin, and a twin gap exists.
         assert!(report.lateral_divergence_m > 0.0);

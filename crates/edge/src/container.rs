@@ -190,9 +190,11 @@ impl ContainerRuntime {
                     wasted: pull + SimDuration::from_secs(outage_s),
                 })
             }
-            Some(FaultKind::ContainerCrash { wasted_s }) => Err(EdgeLaunchError::ContainerCrashed {
-                wasted: pull + SimDuration::from_secs(wasted_s),
-            }),
+            Some(FaultKind::ContainerCrash { wasted_s }) => {
+                Err(EdgeLaunchError::ContainerCrashed {
+                    wasted: pull + SimDuration::from_secs(wasted_s),
+                })
+            }
             _ => Ok((
                 Container {
                     image: image.clone(),

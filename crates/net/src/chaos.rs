@@ -91,7 +91,10 @@ impl ResumableTransfer {
                 let charged = overhead + ser * at_fraction + downtime;
                 Err((TransferFailure::LinkFlap { downtime }, charged))
             }
-            Some(FaultKind::TransferStall { at_fraction, stall_s }) => {
+            Some(FaultKind::TransferStall {
+                at_fraction,
+                stall_s,
+            }) => {
                 self.completed += remaining * at_fraction;
                 let stalled_for = SimDuration::from_secs(stall_s);
                 let charged = overhead + ser * at_fraction + stalled_for;

@@ -127,7 +127,11 @@ mod tests {
         let t_clean = transfer_time(&clean, &spec).as_secs() - spec.handshake_s;
         let t_lossy = transfer_time(&lossy, &spec).as_secs() - spec.handshake_s;
         // 20% loss ⇒ every byte sent 1/(1-0.2) = 1.25x on average.
-        assert!((t_lossy / t_clean - 1.25).abs() < 1e-9, "{}", t_lossy / t_clean);
+        assert!(
+            (t_lossy / t_clean - 1.25).abs() < 1e-9,
+            "{}",
+            t_lossy / t_clean
+        );
     }
 
     #[test]
@@ -136,11 +140,17 @@ mod tests {
         let t = transfer_time(&dead, &TransferSpec::rsync(Bytes::new(1_000_000)));
         assert!(t.as_secs().is_finite());
         // Clamped at MAX_EFFECTIVE_LOSS: 20x the clean serialisation.
-        let clean = transfer_time(&lossy_path(1e6, 0.0, 0.0, 0.0), &TransferSpec::rsync(Bytes::new(1_000_000)));
+        let clean = transfer_time(
+            &lossy_path(1e6, 0.0, 0.0, 0.0),
+            &TransferSpec::rsync(Bytes::new(1_000_000)),
+        );
         let ratio = (t.as_secs() - 1.2) / (clean.as_secs() - 1.2);
         assert!((ratio - 20.0).abs() < 1e-6, "ratio {ratio}");
         // loss > 1.0 behaves identically to loss = 1.0.
-        let worse = transfer_time(&lossy_path(1e6, 0.0, 0.0, 1.5), &TransferSpec::rsync(Bytes::new(1_000_000)));
+        let worse = transfer_time(
+            &lossy_path(1e6, 0.0, 0.0, 1.5),
+            &TransferSpec::rsync(Bytes::new(1_000_000)),
+        );
         assert_eq!(t, worse);
     }
 
@@ -152,7 +162,10 @@ mod tests {
         let d = transfer_time(&jittery, &spec).as_secs() - transfer_time(&calm, &spec).as_secs();
         assert!((d - 0.004).abs() < 1e-9, "jitter charge {d}");
         // Deterministic: same inputs, same time.
-        assert_eq!(transfer_time(&jittery, &spec), transfer_time(&jittery, &spec));
+        assert_eq!(
+            transfer_time(&jittery, &spec),
+            transfer_time(&jittery, &spec)
+        );
     }
 
     #[test]

@@ -185,10 +185,7 @@ impl Dataset {
             }
         }
         Dataset {
-            inputs: vec![
-                self.inputs[0].clone(),
-                Tensor::from_vec(&[n, 2 * m], hist),
-            ],
+            inputs: vec![self.inputs[0].clone(), Tensor::from_vec(&[n, 2 * m], hist)],
             steering: self.steering.clone(),
             throttle: self.throttle.clone(),
         }
@@ -200,10 +197,7 @@ mod tests {
     use super::*;
 
     fn toy(n: usize) -> Dataset {
-        let imgs = Tensor::from_vec(
-            &[n, 1, 2, 2],
-            (0..n * 4).map(|i| i as f32).collect(),
-        );
+        let imgs = Tensor::from_vec(&[n, 1, 2, 2], (0..n * 4).map(|i| i as f32).collect());
         let steer: Vec<f32> = (0..n).map(|i| i as f32 / n as f32).collect();
         let throt: Vec<f32> = (0..n).map(|i| 1.0 - i as f32 / n as f32).collect();
         Dataset::new(imgs, steer, throt)

@@ -5,7 +5,12 @@ use rand::Rng;
 
 /// Glorot/Xavier uniform: limit = sqrt(6 / (fan_in + fan_out)). Keras'
 /// default for Dense/Conv layers, so the zoo matches DonkeyCar's defaults.
-pub fn glorot_uniform(shape: &[usize], fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> Tensor {
+pub fn glorot_uniform(
+    shape: &[usize],
+    fan_in: usize,
+    fan_out: usize,
+    rng: &mut impl Rng,
+) -> Tensor {
     // cast: fan sizes are small layer dims, exactly representable in f32.
     let limit = (6.0 / (fan_in + fan_out) as f32).sqrt();
     Tensor::uniform(shape, limit, rng)
@@ -27,8 +32,12 @@ pub fn recurrent_init(rows: usize, cols: usize, rng: &mut impl Rng) -> Tensor {
     let data = t.data_mut();
     for i in 0..rows {
         for j in 0..i.min(cols) {
-            let dot: f32 = (0..cols).map(|k| data[i * cols + k] * data[j * cols + k]).sum();
-            let njsq: f32 = (0..cols).map(|k| data[j * cols + k] * data[j * cols + k]).sum();
+            let dot: f32 = (0..cols)
+                .map(|k| data[i * cols + k] * data[j * cols + k])
+                .sum();
+            let njsq: f32 = (0..cols)
+                .map(|k| data[j * cols + k] * data[j * cols + k])
+                .sum();
             if njsq > 1e-12 {
                 for k in 0..cols {
                     data[i * cols + k] -= dot / njsq * data[j * cols + k];
@@ -68,7 +77,11 @@ mod tests {
         let mut rng = rng_from_seed(2);
         let t = he_normal(&[50_000], 8, &mut rng);
         let mean = t.mean();
-        let var = t.data().iter().map(|x| (x - mean) * (x - mean)).sum::<f32>()
+        let var = t
+            .data()
+            .iter()
+            .map(|x| (x - mean) * (x - mean))
+            .sum::<f32>()
             / t.len() as f32;
         assert!((var - 0.25).abs() < 0.02, "var {var} expected 0.25");
     }

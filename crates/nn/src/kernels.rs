@@ -81,9 +81,21 @@ pub fn gemm(
     k: usize,
     n: usize,
 ) {
-    assert_eq!(a.len(), m * k, "gemm: lhs storage does not match [{m}, {k}]");
-    assert_eq!(b.len(), k * n, "gemm: rhs storage does not match [{k}, {n}]");
-    assert_eq!(out.len(), m * n, "gemm: out storage does not match [{m}, {n}]");
+    assert_eq!(
+        a.len(),
+        m * k,
+        "gemm: lhs storage does not match [{m}, {k}]"
+    );
+    assert_eq!(
+        b.len(),
+        k * n,
+        "gemm: rhs storage does not match [{k}, {n}]"
+    );
+    assert_eq!(
+        out.len(),
+        m * n,
+        "gemm: out storage does not match [{m}, {n}]"
+    );
     if !acc {
         out.fill(0.0);
     }
@@ -555,8 +567,7 @@ pub fn im2col3d(
                         let zoff = ci * t * h * w + (oz * st + kz) * h * w;
                         for oy in 0..oh {
                             let src = zoff + (oy * s + ky) * w + kx;
-                            let drow =
-                                &mut dst[(oz * oh + oy) * ow..(oz * oh + oy + 1) * ow];
+                            let drow = &mut dst[(oz * oh + oy) * ow..(oz * oh + oy + 1) * ow];
                             if s == 1 {
                                 drow.copy_from_slice(&x[src..src + ow]);
                             } else {
@@ -1048,9 +1059,7 @@ mod tests {
         let bias = rand_vec(f, &mut rng);
 
         let mut want = vec![0.0; f * ot * oh * ow];
-        reference::conv3d_forward(
-            &x, &wv, &bias, 1, c, t, h, w, f, kt, k, st, s, &mut want,
-        );
+        reference::conv3d_forward(&x, &wv, &bias, 1, c, t, h, w, f, kt, k, st, s, &mut want);
 
         let ckk = c * kt * k * k;
         let mut cols = vec![0.0; ckk * ot * oh * ow];

@@ -117,8 +117,7 @@ impl Layer for BatchNorm1d {
         for j in 0..f {
             let k = gamma[j] * self.cache_inv_std[j] / n;
             for i in 0..batch {
-                dx[i * f + j] = k
-                    * (n * g[i * f + j] - dbeta[j] - xh[i * f + j] * dgamma[j]);
+                dx[i * f + j] = k * (n * g[i * f + j] - dbeta[j] - xh[i * f + j] * dgamma[j]);
             }
         }
         Tensor::from_vec(&[batch, f], dx)

@@ -57,7 +57,13 @@ pub type Conv3D = Conv<5>;
 impl Conv2D {
     /// `filters` square `k`×`k` kernels over `in_ch` channels, stride
     /// `stride`, Glorot-uniform weights and zero bias.
-    pub fn new(in_ch: usize, filters: usize, k: usize, stride: usize, rng: &mut impl Rng) -> Conv2D {
+    pub fn new(
+        in_ch: usize,
+        filters: usize,
+        k: usize,
+        stride: usize,
+        rng: &mut impl Rng,
+    ) -> Conv2D {
         Conv::with_kernel(in_ch, filters, (1, k), (1, stride), rng)
     }
 }
@@ -163,7 +169,11 @@ impl<const RANK: usize> Layer for Conv<RANK> {
         let xin = x.data();
         let kind = Self::KIND;
         debug_assert_eq!(xin.len(), batch * vol, "{kind} input data/shape mismatch");
-        debug_assert_eq!(self.w.value.len(), f * taps, "{kind} weight data/shape mismatch");
+        debug_assert_eq!(
+            self.w.value.len(),
+            f * taps,
+            "{kind} weight data/shape mismatch"
+        );
         debug_assert_eq!(self.b.value.len(), f, "{kind} bias data/shape mismatch");
         debug_check_finite(format_args!("{kind} input"), xin);
         debug_check_finite(format_args!("{kind} weights"), self.w.value.data());
@@ -302,13 +312,13 @@ mod tests {
             conv.w.value = Tensor::from_vec(&[1, 1, 2, 2], vec![1.0, 0.0, 0.0, 1.0]);
             conv.b.value = Tensor::from_vec(&[1], vec![0.5]);
             // 3x3 input, 2x2 kernel picking main diagonal + bias.
-            let x = Tensor::from_vec(
-                &[1, 1, 3, 3],
-                vec![1., 2., 3., 4., 5., 6., 7., 8., 9.],
-            );
+            let x = Tensor::from_vec(&[1, 1, 3, 3], vec![1., 2., 3., 4., 5., 6., 7., 8., 9.]);
             let y = conv.forward(&x, false);
             assert_eq!(y.shape(), &[1, 1, 2, 2]);
-            assert_eq!(y.data(), &[1. + 5. + 0.5, 2. + 6. + 0.5, 4. + 8. + 0.5, 5. + 9. + 0.5]);
+            assert_eq!(
+                y.data(),
+                &[1. + 5. + 0.5, 2. + 6. + 0.5, 4. + 8. + 0.5, 5. + 9. + 0.5]
+            );
         }
 
         #[test]

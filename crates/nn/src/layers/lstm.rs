@@ -175,7 +175,8 @@ impl Layer for Lstm {
         let mut dx_all = Tensor::zeros(&[batch, time, f_dim]);
         let dxv = dx_all.data_mut();
         let [dz, dh, dc, dxt] =
-            self.scratch.get([batch * 4 * h, batch * h, batch * h, batch * f_dim]);
+            self.scratch
+                .get([batch * 4 * h, batch * h, batch * h, batch * f_dim]);
         dh.copy_from_slice(grad_out.data());
         dc.fill(0.0);
         let wv = self.w.value.data();

@@ -303,7 +303,10 @@ mod tests {
     #[test]
     fn activation_layer_shape_passthrough() {
         let layer = ActivationLayer::new(Activation::Relu);
-        assert_eq!(layer.spec().output_shape(&[4, 3, 8, 8]), Ok(vec![4, 3, 8, 8]));
+        assert_eq!(
+            layer.spec().output_shape(&[4, 3, 8, 8]),
+            Ok(vec![4, 3, 8, 8])
+        );
     }
 
     #[test]

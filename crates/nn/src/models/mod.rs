@@ -19,9 +19,9 @@ mod zoo;
 pub use zoo::{CarModel, SavedModel};
 
 use crate::data::{Batch, Dataset};
-pub use autolearn_analyze::graph::ModelSpec;
 use crate::optim::Optimizer;
 use crate::tensor::Tensor;
+pub use autolearn_analyze::graph::ModelSpec;
 use serde::{Deserialize, Serialize};
 
 /// Which of the six DonkeyCar architectures.

@@ -191,6 +191,10 @@ mod tests {
         p.grad = Tensor::from_vec(&[1], vec![10.0]);
         let mut opt = Adam::new(0.1);
         opt.step(&mut [&mut p]);
-        assert!((p.value.data()[0] + 0.1).abs() < 1e-3, "got {}", p.value.data()[0]);
+        assert!(
+            (p.value.data()[0] + 0.1).abs() < 1e-3,
+            "got {}",
+            p.value.data()[0]
+        );
     }
 }

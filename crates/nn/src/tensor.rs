@@ -431,7 +431,11 @@ mod tests {
         let mut rng = rng_from_seed(7);
         let t = Tensor::randn(&[10_000], 2.0, &mut rng);
         let mean = t.mean();
-        let var = t.data().iter().map(|x| (x - mean) * (x - mean)).sum::<f32>()
+        let var = t
+            .data()
+            .iter()
+            .map(|x| (x - mean) * (x - mean))
+            .sum::<f32>()
             / t.len() as f32;
         assert!(mean.abs() < 0.1, "mean {mean}");
         assert!((var - 4.0).abs() < 0.3, "variance {var}");

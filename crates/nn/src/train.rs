@@ -445,7 +445,9 @@ mod tests {
             ..Default::default()
         });
         let (mut plain_model, data) = make();
-        let plain = trainer.fit(&mut plain_model, &data).expect("graph validates");
+        let plain = trainer
+            .fit(&mut plain_model, &data)
+            .expect("graph validates");
         let (mut obs_model, data) = make();
         let mut obs = Obs::new();
         let observed = trainer
@@ -472,7 +474,10 @@ mod tests {
             .as_f64()
             .unwrap();
         assert_eq!(first_loss, f64::from(observed.history[0].val_loss));
-        assert_eq!(obs.metrics().counter("nn.examples_seen"), observed.examples_seen);
+        assert_eq!(
+            obs.metrics().counter("nn.examples_seen"),
+            observed.examples_seen
+        );
     }
 
     #[test]

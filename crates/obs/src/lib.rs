@@ -279,7 +279,9 @@ mod tests {
         assert_eq!(obs.metrics().counter("net.faults"), 2);
         assert_eq!(obs.metrics().gauge("nn.scratch_peak_bytes"), 100.0);
         assert_eq!(
-            obs.metrics().histogram("pipeline.stage_seconds").map(|h| h.count),
+            obs.metrics()
+                .histogram("pipeline.stage_seconds")
+                .map(|h| h.count),
             Some(1)
         );
     }

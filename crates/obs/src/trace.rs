@@ -272,7 +272,10 @@ mod tests {
         trace.span_attr(id, "outcome", AttrValue::Str("ok".into()));
         trace.end_span(id, t(1.0));
         let span = &trace.spans()[0];
-        assert_eq!(attr(&span.attrs, "charged_s").unwrap().as_f64(), Some(0.1 + 0.2));
+        assert_eq!(
+            attr(&span.attrs, "charged_s").unwrap().as_f64(),
+            Some(0.1 + 0.2)
+        );
         assert_eq!(attr(&span.attrs, "attempt").unwrap().as_int(), Some(3));
         assert_eq!(attr(&span.attrs, "outcome").unwrap().as_str(), Some("ok"));
         assert_eq!(attr(&span.attrs, "missing"), None);

@@ -298,9 +298,7 @@ mod tests {
         let tape = Surface::Line.color();
         let count = (0..img.height)
             .flat_map(|v| (0..img.width).map(move |u| (u, v)))
-            .filter(|&(u, v)| {
-                [img.get(u, v, 0), img.get(u, v, 1), img.get(u, v, 2)] == tape
-            })
+            .filter(|&(u, v)| [img.get(u, v, 0), img.get(u, v, 1), img.get(u, v, 2)] == tape)
             .count();
         assert!(count > 20, "only {count} tape pixels visible");
     }
@@ -319,9 +317,7 @@ mod tests {
         let left_tape = |img: &Image| {
             (0..img.height)
                 .flat_map(|v| (0..img.width / 2).map(move |u| (u, v)))
-                .filter(|&(u, v)| {
-                    [img.get(u, v, 0), img.get(u, v, 1), img.get(u, v, 2)] == tape
-                })
+                .filter(|&(u, v)| [img.get(u, v, 0), img.get(u, v, 1), img.get(u, v, 2)] == tape)
                 .count() as i64
         };
         assert_ne!(

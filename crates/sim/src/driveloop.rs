@@ -166,7 +166,8 @@ impl Simulation {
     /// Place an obstacle on the track at station `s`, offset `lateral`.
     pub fn add_obstacle(&mut self, s: f64, lateral: f64, radius: f64) {
         let pos = self.track.offset_point(s, lateral);
-        self.obstacles.push(crate::world::Obstacle::new(pos, radius));
+        self.obstacles
+            .push(crate::world::Obstacle::new(pos, radius));
     }
 
     /// Drive for `duration_s` seconds.
@@ -216,9 +217,9 @@ impl Simulation {
             let t = tick as f64 * dt;
 
             // Sense.
-            let image =
-                self.camera
-                    .render_scene(&self.track, &self.obstacles, &self.vehicle.state);
+            let image = self
+                .camera
+                .render_scene(&self.track, &self.obstacles, &self.vehicle.state);
             let proj = self.track.project(self.vehicle.state.pos);
             let heading_err = wrap_angle(proj.heading - self.vehicle.state.heading);
             let pilot_proj = TrackProjection {
@@ -419,7 +420,10 @@ mod tests {
         let mut s = sim(circle_track(2.0, 0.6));
         let mut pilot = ConstantPilot(Controls::new(0.0, 1.0));
         let result = s.run(&mut pilot, 20.0);
-        assert!(result.crashes > 0, "straight-line pilot must leave a circle");
+        assert!(
+            result.crashes > 0,
+            "straight-line pilot must leave a circle"
+        );
         assert!(result.autonomy() < 1.0);
     }
 

@@ -176,8 +176,9 @@ impl Pilot for LinePilot {
 
         let throttle = match c.constant_throttle {
             Some(t) => t,
-            None => (c.base_throttle - c.curvature_slowdown * proj.curvature.abs())
-                .max(c.min_throttle),
+            None => {
+                (c.base_throttle - c.curvature_slowdown * proj.curvature.abs()).max(c.min_throttle)
+            }
         };
 
         Controls::new(steering, throttle)
@@ -275,7 +276,11 @@ impl<P: Pilot> Pilot for SpeedController<P> {
     }
 
     fn name(&self) -> String {
-        format!("speed-pid({:.1} m/s, {})", self.target_speed, self.inner.name())
+        format!(
+            "speed-pid({:.1} m/s, {})",
+            self.target_speed,
+            self.inner.name()
+        )
     }
 }
 
@@ -297,11 +302,7 @@ mod tests {
         }
     }
 
-    fn observe<'a>(
-        img: &'a Image,
-        p: TrackProjection,
-        speed: f64,
-    ) -> Observation<'a> {
+    fn observe<'a>(img: &'a Image, p: TrackProjection, speed: f64) -> Observation<'a> {
         Observation {
             image: img,
             measured_speed: speed,
@@ -382,10 +383,7 @@ mod tests {
 
     #[test]
     fn scripted_pilot_replays_and_holds() {
-        let mut pilot = ScriptedPilot::new(vec![
-            Controls::new(0.1, 0.5),
-            Controls::new(-0.2, 0.6),
-        ]);
+        let mut pilot = ScriptedPilot::new(vec![Controls::new(0.1, 0.5), Controls::new(-0.2, 0.6)]);
         let img = Image::new(2, 2, 1);
         let o = observe(&img, proj(0.0, 0.0, 0.0), 0.0);
         assert_eq!(pilot.control(&o).steering, 0.1);

@@ -164,10 +164,7 @@ mod tests {
     use super::*;
 
     fn car() -> Vehicle {
-        Vehicle::new(
-            CarConfig::default(),
-            VehicleState::at(Vec2::ZERO, 0.0),
-        )
+        Vehicle::new(CarConfig::default(), VehicleState::at(Vec2::ZERO, 0.0))
     }
 
     #[test]
@@ -225,8 +222,7 @@ mod tests {
         for _ in 0..400 {
             v.step(1.0, 0.3, 0.01);
         }
-        let yaw_rate =
-            v.state.speed / v.config.wheelbase * v.state.steer_angle.tan();
+        let yaw_rate = v.state.speed / v.config.wheelbase * v.state.steer_angle.tan();
         let r = v.state.speed / yaw_rate;
         assert!(
             (r - expected_r).abs() < 0.05 * expected_r,
@@ -249,10 +245,7 @@ mod tests {
     #[test]
     fn noise_is_deterministic_by_seed() {
         let mk = |seed| {
-            let mut v = Vehicle::new(
-                CarConfig::real_car(seed),
-                VehicleState::at(Vec2::ZERO, 0.0),
-            );
+            let mut v = Vehicle::new(CarConfig::real_car(seed), VehicleState::at(Vec2::ZERO, 0.0));
             for _ in 0..50 {
                 v.step(0.3, 0.6, 0.05);
             }

@@ -50,7 +50,11 @@ pub fn resample_closed(pts: &[Vec2], ds: f64) -> Vec<Vec2> {
             }
         }
         into_seg += remaining;
-        let t = if seg_len > 0.0 { into_seg / seg_len } else { 0.0 };
+        let t = if seg_len > 0.0 {
+            into_seg / seg_len
+        } else {
+            0.0
+        };
         out.push(seg_start.lerp(seg_end, t));
         remaining = step;
     }
@@ -178,10 +182,7 @@ mod tests {
         let step = total / pts.len() as f64;
         for i in 0..pts.len() {
             let d = pts[i].dist(pts[(i + 1) % pts.len()]);
-            assert!(
-                (d - step).abs() < 0.02,
-                "gap {i} was {d}, expected ~{step}"
-            );
+            assert!((d - step).abs() < 0.02, "gap {i} was {d}, expected ~{step}");
         }
     }
 

@@ -111,7 +111,11 @@ mod tests {
     #[test]
     fn waveshare_is_a_valid_loop() {
         let t = waveshare_track();
-        assert!(t.length() > 6.0 && t.length() < 14.0, "length {}", t.length());
+        assert!(
+            t.length() > 6.0 && t.length() < 14.0,
+            "length {}",
+            t.length()
+        );
         assert!((t.mean_width() - 0.45).abs() < 1e-6);
         // The chicane makes it turn both ways.
         let mut pos = false;

@@ -603,7 +603,9 @@ mod tests {
             let s = t.length() * k as f64 / 20.0;
             let p = t.offset_point(s, 0.1);
             let proj = t.project(p);
-            let ds = t.forward_distance(s, proj.s).min(t.forward_distance(proj.s, s));
+            let ds = t
+                .forward_distance(s, proj.s)
+                .min(t.forward_distance(proj.s, s));
             assert!(ds < 0.15, "station error {ds} at s={s}");
             assert!((proj.lateral - 0.1).abs() < 0.05);
         }

@@ -113,7 +113,14 @@ impl Artifact {
         let mut a = Artifact::new(
             "autolearn-edge-to-cloud",
             "AutoLearn: Learning in the Edge to Cloud Continuum",
-            &["Esquivel Morel", "Fowler", "Keahey", "Zheng", "Sherman", "Anderson"],
+            &[
+                "Esquivel Morel",
+                "Fowler",
+                "Keahey",
+                "Zheng",
+                "Sherman",
+                "Anderson",
+            ],
         );
         a.tags = vec![
             "education".to_string(),
@@ -206,10 +213,7 @@ mod tests {
 
     #[test]
     fn only_code_cells_execute() {
-        let mut nb = Notebook::new(
-            "t",
-            vec![Cell::markdown("# hi"), Cell::code("print(1)")],
-        );
+        let mut nb = Notebook::new("t", vec![Cell::markdown("# hi"), Cell::code("print(1)")]);
         assert!(!nb.execute_cell(0)); // markdown
         assert!(nb.execute_cell(1));
         assert!(!nb.execute_cell(5)); // out of range

@@ -84,12 +84,7 @@ impl ContributionHub {
 
     /// Maintainer accepts: the fork's notebooks become a new published
     /// version of the artifact.
-    pub fn accept(
-        &mut self,
-        mr_id: u64,
-        artifact: &mut Artifact,
-        at: SimTime,
-    ) -> Option<u32> {
+    pub fn accept(&mut self, mr_id: u64, artifact: &mut Artifact, at: SimTime) -> Option<u32> {
         let mr = self
             .merge_requests
             .iter_mut()

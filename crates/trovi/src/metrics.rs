@@ -223,14 +223,24 @@ impl EventLog {
             log.record(&user, artifact, EventKind::View, SimTime::from_secs(t));
             t += 60.0;
             for _ in 0..n {
-                log.record(&user, artifact, EventKind::LaunchClick, SimTime::from_secs(t));
+                log.record(
+                    &user,
+                    artifact,
+                    EventKind::LaunchClick,
+                    SimTime::from_secs(t),
+                );
                 t += 300.0;
             }
         }
         // The two users who actually executed cells.
         for user in ["user1", "user3"] {
             for _ in 0..4 {
-                log.record(user, artifact, EventKind::CellExecution, SimTime::from_secs(t));
+                log.record(
+                    user,
+                    artifact,
+                    EventKind::CellExecution,
+                    SimTime::from_secs(t),
+                );
                 t += 30.0;
             }
         }
@@ -258,7 +268,12 @@ impl EventLog {
             if rng.gen::<f64>() < p_click {
                 let clicks = 1 + rng.gen_range(0..4);
                 for _ in 0..clicks {
-                    log.record(&user, artifact, EventKind::LaunchClick, SimTime::from_secs(t));
+                    log.record(
+                        &user,
+                        artifact,
+                        EventKind::LaunchClick,
+                        SimTime::from_secs(t),
+                    );
                     t += 10.0;
                 }
                 if rng.gen::<f64>() < p_execute {

@@ -106,7 +106,10 @@ impl TubCleaner {
         // Margins around crash/off-track incidents.
         let mut near = vec![false; n];
         for (i, reason) in reasons.iter().enumerate() {
-            if matches!(reason, Some(CleanReason::Crash) | Some(CleanReason::OffTrack)) {
+            if matches!(
+                reason,
+                Some(CleanReason::Crash) | Some(CleanReason::OffTrack)
+            ) {
                 let lo = i.saturating_sub(self.config.margin_before);
                 let hi = (i + self.config.margin_after + 1).min(n);
                 for flag in near.iter_mut().take(hi).skip(lo) {

@@ -89,12 +89,27 @@ impl std::fmt::Display for FaultKind {
             FaultKind::LinkFlap {
                 at_fraction,
                 downtime_s,
-            } => write!(f, "link flap at {:.0}% ({downtime_s:.1}s down)", at_fraction * 100.0),
+            } => write!(
+                f,
+                "link flap at {:.0}% ({downtime_s:.1}s down)",
+                at_fraction * 100.0
+            ),
             FaultKind::LinkDegraded { bandwidth_factor } => {
-                write!(f, "link degraded to {:.0}% bandwidth", bandwidth_factor * 100.0)
+                write!(
+                    f,
+                    "link degraded to {:.0}% bandwidth",
+                    bandwidth_factor * 100.0
+                )
             }
-            FaultKind::TransferStall { at_fraction, stall_s } => {
-                write!(f, "transfer stall at {:.0}% ({stall_s:.1}s timeout)", at_fraction * 100.0)
+            FaultKind::TransferStall {
+                at_fraction,
+                stall_s,
+            } => {
+                write!(
+                    f,
+                    "transfer stall at {:.0}% ({stall_s:.1}s timeout)",
+                    at_fraction * 100.0
+                )
             }
             FaultKind::LaunchFailure { wasted_s } => {
                 write!(f, "lease launch failure ({wasted_s:.1}s wasted)")

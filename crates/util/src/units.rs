@@ -210,7 +210,10 @@ impl Mul<SimSeconds> for BytesPerSec {
     /// Volume moved in a window: rate × time = bytes (floor).
     fn mul(self, rhs: SimSeconds) -> Bytes {
         let product = self.0 * rhs.as_secs();
-        debug_assert!(product.is_finite() && product >= 0.0, "rate*time = {product}");
+        debug_assert!(
+            product.is_finite() && product >= 0.0,
+            "rate*time = {product}"
+        );
         Bytes(product.max(0.0) as u64)
     }
 }
@@ -347,7 +350,9 @@ mod tests {
         assert_eq!(Bytes::new(5) - Bytes::new(10), Bytes::ZERO);
         assert_eq!(Bytes::kb(2) + Bytes::new(500), Bytes::new(2_500));
         assert_eq!(Bytes::new(3) * 4, Bytes::new(12));
-        let total: Bytes = [Bytes::new(1), Bytes::new(2), Bytes::new(3)].into_iter().sum();
+        let total: Bytes = [Bytes::new(1), Bytes::new(2), Bytes::new(3)]
+            .into_iter()
+            .sum();
         assert_eq!(total, Bytes::new(6));
     }
 

@@ -12,8 +12,7 @@ use autolearn_cloud::identity::IdentityService;
 use autolearn_cloud::reservation::ReservationSystem;
 use autolearn_edge::{ByodWorkflow, DeviceKind, EdgeDevice};
 use autolearn_sim::{
-    CameraConfig, CarConfig, DriveConfig, LinePilot, LinePilotConfig, Simulation,
-    SpeedController,
+    CameraConfig, CarConfig, DriveConfig, LinePilot, LinePilotConfig, Simulation, SpeedController,
 };
 use autolearn_track::waveshare_track;
 use autolearn_trovi::{Artifact, EventKind, EventLog};
@@ -110,7 +109,10 @@ fn main() {
         leaderboard.push((student, score));
     }
     leaderboard.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
-    println!("\nwinner: {} — pushing speed only pays while control holds", leaderboard[0].0);
+    println!(
+        "\nwinner: {} — pushing speed only pays while control holds",
+        leaderboard[0].0
+    );
 
     // --- Pathway summary -----------------------------------------------------
     println!("\npathways available to this class:");

@@ -16,7 +16,9 @@ use autolearn::modelpilot::ModelPilot;
 use autolearn::placement::{max_safe_speed, InferencePlacement};
 use autolearn_cloud::hardware::{ComputeDevice, GpuKind};
 use autolearn_net::{Link, Path};
-use autolearn_nn::models::{prepare_dataset, CarModel, DonkeyModel, ModelConfig, ModelKind, SavedModel};
+use autolearn_nn::models::{
+    prepare_dataset, CarModel, DonkeyModel, ModelConfig, ModelKind, SavedModel,
+};
 use autolearn_nn::{format_errors, TrainConfig, Trainer};
 use autolearn_sim::{CameraConfig, CarConfig, DriveConfig, Simulation};
 use autolearn_track::paper_oval;

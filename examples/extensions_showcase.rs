@@ -10,9 +10,7 @@ use autolearn::extensions::{
     signal_scene, ColorClassifier, ObstacleBrake, PurePursuitPilot, Signal, VisionLinePilot,
 };
 use autolearn::rl::{train_reinforce, Policy, RlConfig};
-use autolearn_sim::{
-    CameraConfig, CarConfig, DriveConfig, LinePilot, LinePilotConfig, Simulation,
-};
+use autolearn_sim::{CameraConfig, CarConfig, DriveConfig, LinePilot, LinePilotConfig, Simulation};
 use autolearn_track::circle_track;
 
 fn main() {
@@ -29,7 +27,11 @@ fn main() {
             held_out += 1;
         }
     }
-    println!("   train accuracy {:.0}%, held-out {}/30", acc * 100.0, held_out);
+    println!(
+        "   train accuracy {:.0}%, held-out {}/30",
+        acc * 100.0,
+        held_out
+    );
 
     // --- 2. Edge-detection line following (no ML, no ground truth) ---------
     println!("2. edge-detection line follower (classic CV)");

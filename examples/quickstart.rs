@@ -43,8 +43,10 @@ fn main() {
     }
     println!("  {:<20} {}", "TOTAL", report.total_time());
 
-    println!("\ndata: {} records collected, {} after tubclean",
-        report.records_collected, report.records_cleaned);
+    println!(
+        "\ndata: {} records collected, {} after tubclean",
+        report.records_collected, report.records_cleaned
+    );
     println!(
         "training: {} epochs, best val loss {:.4}{}",
         report.train_report.epochs_ran,

@@ -149,8 +149,9 @@ pub trait Deserialize: Sized {
 pub fn de_field<T: Deserialize>(fields: &[(String, Value)], key: &str) -> Result<T, Error> {
     match fields.iter().find(|(k, _)| k == key) {
         Some((_, v)) => T::deserialize(v).map_err(|e| e.context(key)),
-        None => T::deserialize(&Value::Null)
-            .map_err(|_| Error::new(format!("missing field `{key}`"))),
+        None => {
+            T::deserialize(&Value::Null).map_err(|_| Error::new(format!("missing field `{key}`")))
+        }
     }
 }
 
@@ -361,7 +362,11 @@ impl<T: Deserialize + Ord> Deserialize for BTreeSet<T> {
 
 impl<V: Serialize> Serialize for BTreeMap<String, V> {
     fn serialize(&self) -> Value {
-        Value::Object(self.iter().map(|(k, v)| (k.clone(), v.serialize())).collect())
+        Value::Object(
+            self.iter()
+                .map(|(k, v)| (k.clone(), v.serialize()))
+                .collect(),
+        )
     }
 }
 
@@ -380,8 +385,10 @@ impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
 impl<V: Serialize> Serialize for HashMap<String, V> {
     fn serialize(&self) -> Value {
         // Sort keys so emitted JSON is deterministic.
-        let mut fields: Vec<(String, Value)> =
-            self.iter().map(|(k, v)| (k.clone(), v.serialize())).collect();
+        let mut fields: Vec<(String, Value)> = self
+            .iter()
+            .map(|(k, v)| (k.clone(), v.serialize()))
+            .collect();
         fields.sort_by(|a, b| a.0.cmp(&b.0));
         Value::Object(fields)
     }

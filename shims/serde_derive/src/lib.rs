@@ -18,13 +18,17 @@ use proc_macro::{Delimiter, TokenStream, TokenTree};
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
-    gen_serialize(&item).parse().expect("generated Serialize impl parses")
+    gen_serialize(&item)
+        .parse()
+        .expect("generated Serialize impl parses")
 }
 
 #[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
-    gen_deserialize(&item).parse().expect("generated Deserialize impl parses")
+    gen_deserialize(&item)
+        .parse()
+        .expect("generated Deserialize impl parses")
 }
 
 struct Field {
@@ -123,12 +127,10 @@ fn parse_item(input: TokenStream) -> Item {
 fn is_skip_attr(stream: TokenStream) -> bool {
     let mut iter = stream.into_iter();
     match (iter.next(), iter.next()) {
-        (Some(TokenTree::Ident(id)), Some(TokenTree::Group(args)))
-            if id.to_string() == "serde" =>
-        {
-            args.stream().into_iter().any(
-                |t| matches!(&t, TokenTree::Ident(a) if a.to_string() == "skip"),
-            )
+        (Some(TokenTree::Ident(id)), Some(TokenTree::Group(args))) if id.to_string() == "serde" => {
+            args.stream()
+                .into_iter()
+                .any(|t| matches!(&t, TokenTree::Ident(a) if a.to_string() == "skip"))
         }
         _ => false,
     }

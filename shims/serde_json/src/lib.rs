@@ -279,13 +279,11 @@ impl<'a> Parser<'a> {
                                 if !(0xDC00..0xE000).contains(&lo) {
                                     return Err(self.err("invalid low surrogate"));
                                 }
-                                let code =
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                                let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
                                 char::from_u32(code)
                                     .ok_or_else(|| self.err("invalid surrogate pair"))?
                             } else {
-                                char::from_u32(hi)
-                                    .ok_or_else(|| self.err("invalid \\u escape"))?
+                                char::from_u32(hi).ok_or_else(|| self.err("invalid \\u escape"))?
                             };
                             out.push(c);
                             // hex4 leaves pos past the digits; compensate for
@@ -301,9 +299,7 @@ impl<'a> Parser<'a> {
                     let start = self.pos;
                     let rest = &self.bytes[start..];
                     let s = std::str::from_utf8(&rest[..rest.len().min(4)])
-                        .or_else(|e| {
-                            std::str::from_utf8(&rest[..e.valid_up_to().max(1)])
-                        })
+                        .or_else(|e| std::str::from_utf8(&rest[..e.valid_up_to().max(1)]))
                         .map_err(|_| self.err("invalid UTF-8 in string"))?;
                     let c = s.chars().next().ok_or_else(|| self.err("bad string"))?;
                     out.push(c);

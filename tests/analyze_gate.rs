@@ -45,10 +45,7 @@ fn allowlist_entries_all_still_match_something() {
     let outcome = linter.run_workspace(root).expect("workspace scan succeeds");
 
     for entry in linter.allow_entries() {
-        let used = outcome
-            .allowlisted
-            .iter()
-            .any(|f| entry.matches(f));
+        let used = outcome.allowlisted.iter().any(|f| entry.matches(f));
         assert!(
             used,
             "stale allowlist entry (matches nothing): rule={} path={}",

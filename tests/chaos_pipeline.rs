@@ -115,7 +115,10 @@ fn same_seed_gives_byte_identical_outcome() {
                 outcome_bytes(&report)
             })
             .collect();
-        assert_eq!(outcomes[0], outcomes[1], "plan seed {plan_seed} not reproducible");
+        assert_eq!(
+            outcomes[0], outcomes[1],
+            "plan seed {plan_seed} not reproducible"
+        );
     }
 }
 

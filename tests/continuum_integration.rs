@@ -5,7 +5,9 @@ use autolearn_cloud::hardware::Site;
 use autolearn_cloud::identity::IdentityService;
 use autolearn_cloud::provision::{ProvisionState, Provisioner, ProvisioningPlan};
 use autolearn_cloud::reservation::ReservationSystem;
-use autolearn_edge::{ByodWorkflow, ContainerRuntime, DeviceKind, DeviceState, EdgeDevice, ImageSpec};
+use autolearn_edge::{
+    ByodWorkflow, ContainerRuntime, DeviceKind, DeviceState, EdgeDevice, ImageSpec,
+};
 use autolearn_net::{transfer_time, Path, TransferSpec};
 use autolearn_trovi::{Artifact, ArtifactMetrics, ContributionHub, EventKind, EventLog, TroviHub};
 use autolearn_util::{Bytes, SimClock, SimDuration, SimTime};
@@ -28,12 +30,13 @@ fn classroom_provisioning_day() {
     let end = SimTime::from_secs(86_400.0 + 7200.0);
     rs.reserve("cs4001", "gpu_v100", 4, start, end).unwrap();
     // A walk-in wanting all V100 nodes across the slot is refused.
-    assert!(rs
-        .reserve("walkin", "gpu_v100", 1, start, end)
-        .is_err());
+    assert!(rs.reserve("walkin", "gpu_v100", 1, start, end).is_err());
 
     // Provisioning against a discrete-event clock.
-    let upload = transfer_time(&Path::car_to_cloud(), &TransferSpec::rsync(Bytes::new(20_000_000)));
+    let upload = transfer_time(
+        &Path::car_to_cloud(),
+        &TransferSpec::rsync(Bytes::new(20_000_000)),
+    );
     let plan = ProvisioningPlan::cuda_image(upload);
     let provisioner = Provisioner::start(plan, start);
     assert_eq!(provisioner.state_at(start), ProvisionState::Queued);
@@ -48,7 +51,9 @@ fn classroom_provisioning_day() {
     assert!(t.as_secs() < end.as_secs());
 
     // Charge the project for the node-hours used.
-    identity.authorize_and_charge("alice", "cs4001", 8.0).unwrap();
+    identity
+        .authorize_and_charge("alice", "cs4001", 8.0)
+        .unwrap();
     assert!(identity.project("cs4001").unwrap().allocation.used > 0.0);
 }
 
@@ -63,7 +68,9 @@ fn byod_car_to_running_container() {
     let mut rt = ContainerRuntime::new();
     let (mut container, launch) = rt.launch(&ImageSpec::autolearn(), &Path::car_to_cloud());
     assert!(launch.as_mins() < 15.0);
-    let out = container.console_exec("python manage.py drive --js").unwrap();
+    let out = container
+        .console_exec("python manage.py drive --js")
+        .unwrap();
     assert!(out.contains("manage.py"));
 
     // The paper's documented limitation: no console text editing.
@@ -86,7 +93,12 @@ fn artifact_lifecycle_with_community_contribution() {
         log.record(user, &artifact.slug, EventKind::View, SimTime::ZERO);
         log.record(user, &artifact.slug, EventKind::LaunchClick, SimTime::ZERO);
         if executes {
-            log.record(user, &artifact.slug, EventKind::CellExecution, SimTime::ZERO);
+            log.record(
+                user,
+                &artifact.slug,
+                EventKind::CellExecution,
+                SimTime::ZERO,
+            );
         }
     }
     let m = log.metrics_for(&artifact.slug);
@@ -100,7 +112,9 @@ fn artifact_lifecycle_with_community_contribution() {
         .cells
         .push(autolearn_trovi::Cell::code("# new RL extension"));
     let mr = hub.open_merge_request(fork, "RL lesson").unwrap();
-    let v = hub.accept(mr, &mut artifact, SimTime::from_secs(1.0)).unwrap();
+    let v = hub
+        .accept(mr, &mut artifact, SimTime::from_secs(1.0))
+        .unwrap();
     assert_eq!(v, 9);
     assert_eq!(artifact.version_count(), 9);
 }
@@ -114,18 +128,42 @@ fn byod_car_reservable_like_any_chameleon_resource() {
     let mut rs = ReservationSystem::new(site);
 
     let slot_a = rs
-        .reserve("team-a", &car_type, 1, SimTime::from_secs(0.0), SimTime::from_secs(3600.0))
+        .reserve(
+            "team-a",
+            &car_type,
+            1,
+            SimTime::from_secs(0.0),
+            SimTime::from_secs(3600.0),
+        )
         .unwrap();
     // The single car is busy: a second overlapping team is refused...
     assert!(rs
-        .reserve("team-b", &car_type, 1, SimTime::from_secs(1800.0), SimTime::from_secs(5400.0))
+        .reserve(
+            "team-b",
+            &car_type,
+            1,
+            SimTime::from_secs(1800.0),
+            SimTime::from_secs(5400.0)
+        )
         .is_err());
     // ...but the next slot works, as does a GPU node at the same time.
     assert!(rs
-        .reserve("team-b", &car_type, 1, SimTime::from_secs(3600.0), SimTime::from_secs(7200.0))
+        .reserve(
+            "team-b",
+            &car_type,
+            1,
+            SimTime::from_secs(3600.0),
+            SimTime::from_secs(7200.0)
+        )
         .is_ok());
     assert!(rs
-        .reserve("team-a", "gpu_v100", 1, SimTime::from_secs(0.0), SimTime::from_secs(3600.0))
+        .reserve(
+            "team-a",
+            "gpu_v100",
+            1,
+            SimTime::from_secs(0.0),
+            SimTime::from_secs(3600.0)
+        )
         .is_ok());
     assert!(rs.lease(slot_a).is_some());
 }

@@ -11,9 +11,7 @@
 
 use autolearn::dataset::records_to_dataset;
 use autolearn_nn::models::{prepare_dataset, CarModel, DonkeyModel, ModelConfig, ModelKind};
-use autolearn_nn::{
-    standard_stages, validate_model, validate_pipeline, DType, FrameContract,
-};
+use autolearn_nn::{standard_stages, validate_model, validate_pipeline, DType, FrameContract};
 use autolearn_tub::Record;
 use autolearn_util::Image;
 use proptest::prelude::*;
@@ -53,7 +51,13 @@ fn tub_records(n: usize) -> Vec<Record> {
         .map(|i| {
             let mut img = Image::new(16, 12, 3);
             img.data.fill((i * 17 % 251) as u8);
-            Record::new(i as u64, ((i % 5) as f32 - 2.0) / 2.0, 0.5, i as u64 * 50, img)
+            Record::new(
+                i as u64,
+                ((i % 5) as f32 - 2.0) / 2.0,
+                0.5,
+                i as u64 * 50,
+                img,
+            )
         })
         .collect()
 }

@@ -4,7 +4,9 @@
 use autolearn::collect::{collect_session, CollectConfig, CollectionPath};
 use autolearn::dataset::records_to_dataset;
 use autolearn::modelpilot::ModelPilot;
-use autolearn_nn::models::{prepare_dataset, CarModel, DonkeyModel, ModelConfig, ModelKind, SavedModel};
+use autolearn_nn::models::{
+    prepare_dataset, CarModel, DonkeyModel, ModelConfig, ModelKind, SavedModel,
+};
 use autolearn_nn::{TrainConfig, Trainer};
 use autolearn_sim::{CameraConfig, CarConfig, DriveConfig, Simulation};
 use autolearn_track::circle_track;
@@ -56,7 +58,8 @@ fn collect_store_clean_train_evaluate_via_disk() {
     let tub_dir = tmp.0.join("tub");
     {
         let mut tub = Tub::create(&tub_dir).unwrap();
-        tub.metadata_mut().insert("track".into(), track.name().into());
+        tub.metadata_mut()
+            .insert("track".into(), track.name().into());
         for r in collected.records {
             tub.write_record(r).unwrap();
         }

@@ -3,8 +3,8 @@
 use autolearn::dataset::{image_to_input, records_to_dataset, tub_bytes_estimate};
 use autolearn::pathway::competition_score;
 use autolearn::placement::max_safe_speed;
-use autolearn_nn::models::ModelConfig;
 use autolearn_net::{rpc_round_trip, transfer_time, Link, Path, TransferSpec};
+use autolearn_nn::models::ModelConfig;
 use autolearn_tub::Record;
 use autolearn_util::{Bytes, Image};
 use proptest::prelude::*;

@@ -85,7 +85,10 @@ fn trace_nests_seven_stages_with_faults_and_retries_as_children() {
             .unwrap_or_else(|| panic!("missing stage span `{name}`"));
         assert_eq!(span.parent, Some(root_id), "`{name}` must nest under root");
         assert!(span.end.is_some(), "`{name}` must be closed");
-        assert!(span.seq > last_seq || name == "collect", "stages out of order at `{name}`");
+        assert!(
+            span.seq > last_seq || name == "collect",
+            "stages out of order at `{name}`"
+        );
         last_seq = span.seq;
     }
 
@@ -99,14 +102,23 @@ fn trace_nests_seven_stages_with_faults_and_retries_as_children() {
     );
     for ev in &fault_events {
         let parent = ev.parent.expect("fault events attach to a span");
-        assert_ne!(parent, root_id, "fault events nest inside a stage, not the root");
-        assert!(attr(&trace.spans()[parent.0].attrs, "stage").is_some() ||
-                !trace.spans()[parent.0].name.is_empty());
+        assert_ne!(
+            parent, root_id,
+            "fault events nest inside a stage, not the root"
+        );
+        assert!(
+            attr(&trace.spans()[parent.0].attrs, "stage").is_some()
+                || !trace.spans()[parent.0].name.is_empty()
+        );
     }
 
     // Retried attempts: more attempt spans than stages that retry once.
     let attempts: Vec<_> = trace.spans_named("attempt").collect();
-    assert!(attempts.len() > 4, "faulty run must retry: {}", attempts.len());
+    assert!(
+        attempts.len() > 4,
+        "faulty run must retry: {}",
+        attempts.len()
+    );
     for a in &attempts {
         assert!(a.parent.is_some(), "attempt spans nest under their stage");
         let stage = attr(&a.attrs, "stage").and_then(AttrValue::as_str);
@@ -119,8 +131,11 @@ fn failing_run_dumps_a_post_mortem_with_flight_tail() {
     // No retries: the first injected fault kills the run.
     let mut plan = FaultPlan::from_seed(7, FaultConfig::chaos(0.35));
     let mut obs = Obs::new();
-    let result = Pipeline::new(circle_track(3.0, 0.8), tiny_config())
-        .run_observed(&mut plan, &RetryPolicy::no_retries(), &mut obs);
+    let result = Pipeline::new(circle_track(3.0, 0.8), tiny_config()).run_observed(
+        &mut plan,
+        &RetryPolicy::no_retries(),
+        &mut obs,
+    );
     let err = match result {
         Err(e) => e,
         Ok(_) => panic!("seed 7 without retries must fail"),
@@ -128,13 +143,23 @@ fn failing_run_dumps_a_post_mortem_with_flight_tail() {
 
     let pm = obs.post_mortem().expect("failure leaves a post-mortem");
     assert!(pm.error.contains(&err.to_string()) || !pm.error.is_empty());
-    assert!(!pm.recent.is_empty(), "flight recorder tail must not be empty");
+    assert!(
+        !pm.recent.is_empty(),
+        "flight recorder tail must not be empty"
+    );
     // The tail ends near the failure: its last entries mention the
     // attempt machinery that died.
     let tail = pm.recent.join("\n");
-    assert!(tail.contains("attempt"), "tail shows the dying attempt: {tail}");
+    assert!(
+        tail.contains("attempt"),
+        "tail shows the dying attempt: {tail}"
+    );
     // The root span is closed even on the error path.
-    let root = obs.trace().spans_named("pipeline").next().expect("root span");
+    let root = obs
+        .trace()
+        .spans_named("pipeline")
+        .next()
+        .expect("root span");
     assert!(root.end.is_some(), "root span closed on failure");
 }
 
