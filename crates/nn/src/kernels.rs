@@ -25,6 +25,10 @@
 //! There is one lowering for both conv ranks: a 2-D `[c, h, w]` image is a
 //! 3-D `[c, t, h, w]` volume with a unit time axis (`t = kt = st = 1`), so
 //! `Conv2D` and `Conv3D` share `im2col3d`/`col2im3d` and one layer body.
+//! That body transposes `W` once per backward call rather than handing
+//! [`gemm`] a transposed operand for every example, and a network's first
+//! conv skips the input-gradient GEMM and `col2im3d` altogether
+//! (`Layer::backward_params`).
 //!
 //! The pre-GEMM naive kernels live on in [`reference`] as the correctness
 //! oracle: `tests/kernel_parity.rs` asserts the optimized and reference
@@ -48,8 +52,9 @@ const NC: usize = 512;
 thread_local! {
     /// Grow-only packing buffers `(packed A block, packed B block)` shared
     /// by every GEMM call on this thread. Sized for one `MC x KC` and one
-    /// `KC x NC` block (rounded up to whole micro-panels); after warm-up no
-    /// call allocates.
+    /// `KC x NC` block (rounded up to whole micro-panels) when an operand
+    /// is transposed, and for one micro-panel when it is read in place;
+    /// after warm-up no call allocates.
     static PACK: RefCell<(Vec<f32>, Vec<f32>)> =
         const { RefCell::new((Vec::new(), Vec::new())) }
 }
@@ -106,9 +111,20 @@ pub fn gemm(
     PACK.with(|pack| {
         let mut pack = pack.borrow_mut();
         let (pa, pb) = &mut *pack;
-        // Grow-only: allocates on the first call, reuses afterwards.
-        let pa_need = MC.min(m).next_multiple_of(MR) * KC.min(k);
-        let pb_need = NC.min(n).next_multiple_of(NR) * KC.min(k);
+        // Grow-only: allocates on the first call, reuses afterwards. A
+        // row-major operand is read in place but for its ragged tail panel,
+        // so it needs room for just one zero-padded micro-panel.
+        let pa_rows = if ta {
+            MC.min(m).next_multiple_of(MR)
+        } else {
+            MR
+        };
+        let pb_cols = if tb {
+            NC.min(n).next_multiple_of(NR)
+        } else {
+            NR
+        };
+        let (pa_need, pb_need) = (pa_rows * KC.min(k), pb_cols * KC.min(k));
         if pa.len() < pa_need {
             pa.resize(pa_need, 0.0);
         }

@@ -11,7 +11,13 @@
 //!
 //! * forward is `W[f, c*kt*k*k] · cols` plus a bias broadcast,
 //! * `dw` is `g[f, ot*oh*ow] · colsᵀ` accumulated over the batch,
-//! * `dx` is `Wᵀ · g` scattered back through col2im.
+//! * `dx` is `Wᵀ · g` scattered back through col2im, with `Wᵀ` transposed
+//!   once per backward call into scratch so each example's GEMM reads it
+//!   row-major (bit-identical to reading `W` as a transposed operand).
+//!
+//! As a network's first layer (`backward_params`), the layer computes only
+//! `dw` and `db`: the `Wᵀ · g` GEMM, the col2im scatter and the dx tensor
+//! are skipped, and so are their scratch slots.
 //!
 //! The column matrices live in a per-layer [`Scratch`] arena: they are
 //! allocated once per (layer, batch-shape) and reused every step, and they
@@ -143,6 +149,75 @@ impl<const RANK: usize> Conv<RANK> {
         vol
     }
 
+    /// The `[batch, c, t, h, w]` volume of the last forward input.
+    fn cached_volume(&self) -> [usize; 5] {
+        self.cache_in_shape.expect("backward before forward")
+    }
+
+    /// The backward pass for the last forward: accumulates `dw` and `db`
+    /// and, when `dx` is given (zeroed, `[batch, c, t, h, w]` elements),
+    /// writes the input gradient into it. Without `dx` the `Wᵀ·g` GEMM and
+    /// the col2im scatter are skipped entirely.
+    fn backward_into(&mut self, grad_out: &Tensor, dx: Option<&mut [f32]>) {
+        let [batch, c, t, h, w] = self.cached_volume();
+        let [ot, oh, ow] = self.out_dims(t, h, w);
+        let (f, kt, k, st, s) = (self.filters, self.kt, self.k, self.st, self.s);
+        let (vol, taps, osp) = (c * t * h * w, c * kt * k * k, ot * oh * ow);
+        assert_eq!(grad_out.shape(), Self::dims([batch, f, ot, oh, ow]));
+
+        let gout = grad_out.data();
+        // Slot 0 still holds the forward's im2col matrices. Only an input
+        // gradient needs slot 1, which stages one example's dx columns
+        // before the col2im scatter, and slot 2, which holds `Wᵀ`.
+        let (cols, mut dx_work) = match dx {
+            Some(dxv) => {
+                let [cols, dcols, wt] =
+                    self.scratch.get([batch * taps * osp, taps * osp, taps * f]);
+                (cols, Some((dxv, dcols, wt)))
+            }
+            None => {
+                let [cols] = self.scratch.get([batch * taps * osp]);
+                (cols, None)
+            }
+        };
+        let wv = self.w.value.data();
+        let dwv = self.w.grad.data_mut();
+        let dbv = self.b.grad.data_mut();
+
+        // hot-kernel: begin (GEMM backward + col2im, alloc-free)
+        if let Some((_, _, wt)) = &mut dx_work {
+            // `W` is `[f, taps]`; transposing it once here lets every
+            // per-example dx GEMM read `Wᵀ` row-major instead of packing
+            // the transposed operand again for each example.
+            for (fi, wrow) in wv.chunks_exact(taps).enumerate() {
+                for (ti, &v) in wrow.iter().enumerate() {
+                    wt[ti * f + fi] = v;
+                }
+            }
+        }
+        for bi in 0..batch {
+            let gb = &gout[bi * f * osp..(bi + 1) * f * osp];
+            let cb = &cols[bi * taps * osp..(bi + 1) * taps * osp];
+            // dw += g · colsᵀ
+            kernels::gemm(dwv, true, gb, false, cb, true, f, osp, taps);
+            // db += row sums of g
+            for fi in 0..f {
+                let mut acc = 0.0;
+                for &g in &gb[fi * osp..(fi + 1) * osp] {
+                    acc += g;
+                }
+                dbv[fi] += acc;
+            }
+            if let Some((dxv, dcols, wt)) = &mut dx_work {
+                // dcols = Wᵀ · g, scattered back into dx
+                kernels::gemm(dcols, false, wt, false, gb, false, taps, f, osp);
+                let dxb = &mut dxv[bi * vol..(bi + 1) * vol];
+                kernels::col2im3d(dcols, c, t, h, w, kt, k, st, s, ot, oh, ow, dxb);
+            }
+        }
+        // hot-kernel: end
+    }
+
     fn out_dims(&self, t: usize, h: usize, w: usize) -> [usize; 3] {
         assert!(
             t >= self.kt && h >= self.k && w >= self.k,
@@ -207,44 +282,14 @@ impl<const RANK: usize> Layer for Conv<RANK> {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let [batch, c, t, h, w] = self.cache_in_shape.expect("backward before forward");
-        let [ot, oh, ow] = self.out_dims(t, h, w);
-        let (f, kt, k, st, s) = (self.filters, self.kt, self.k, self.st, self.s);
-        let (vol, taps, osp) = (c * t * h * w, c * kt * k * k, ot * oh * ow);
-        assert_eq!(grad_out.shape(), Self::dims([batch, f, ot, oh, ow]));
-
-        let gout = grad_out.data();
+        let [batch, c, t, h, w] = self.cached_volume();
         let mut dx = Tensor::zeros(&Self::dims([batch, c, t, h, w]));
-        let dxv = dx.data_mut();
-        // Slot 0 still holds the forward's im2col matrices; slot 1 stages
-        // one example's input-gradient columns before the col2im scatter.
-        let [cols, dcols] = self.scratch.get([batch * taps * osp, taps * osp]);
-        let wv = self.w.value.data();
-        let dwv = self.w.grad.data_mut();
-        let dbv = self.b.grad.data_mut();
-
-        // hot-kernel: begin (GEMM backward + col2im, alloc-free)
-        for bi in 0..batch {
-            let gb = &gout[bi * f * osp..(bi + 1) * f * osp];
-            let cb = &cols[bi * taps * osp..(bi + 1) * taps * osp];
-            // dw += g · colsᵀ
-            kernels::gemm(dwv, true, gb, false, cb, true, f, osp, taps);
-            // db += row sums of g
-            for fi in 0..f {
-                let mut acc = 0.0;
-                for &g in &gb[fi * osp..(fi + 1) * osp] {
-                    acc += g;
-                }
-                dbv[fi] += acc;
-            }
-            // dcols = Wᵀ · g, scattered back into dx
-            kernels::gemm(dcols, false, wv, true, gb, false, taps, f, osp);
-            let dxb = &mut dxv[bi * vol..(bi + 1) * vol];
-            kernels::col2im3d(dcols, c, t, h, w, kt, k, st, s, ot, oh, ow, dxb);
-        }
-        // hot-kernel: end
-
+        self.backward_into(grad_out, Some(dx.data_mut()));
         dx
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.backward_into(grad_out, None);
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -290,6 +335,38 @@ mod tests {
     use super::*;
     use crate::layers::gradcheck;
     use autolearn_util::rng::rng_from_seed;
+
+    /// The layer's input gradient, computed from the once-transposed `W`,
+    /// equals bit for bit the `Wᵀ·g` GEMM that reads `W` as a transposed
+    /// operand: packing moves values without reordering any sum.
+    fn dx_matches_transposed_operand_gemm<const RANK: usize>(mut conv: Conv<RANK>, x: &Tensor) {
+        let g = conv.forward(x, true);
+        let dx = conv.backward(&g);
+        let [batch, c, t, h, w] = conv.cached_volume();
+        let [ot, oh, ow] = conv.out_dims(t, h, w);
+        let (f, kt, k, st, s) = (conv.filters, conv.kt, conv.k, conv.st, conv.s);
+        let (vol, taps, osp) = (c * t * h * w, c * kt * k * k, ot * oh * ow);
+        let mut want = vec![0.0; batch * vol];
+        let mut dcols = vec![0.0; taps * osp];
+        for bi in 0..batch {
+            let gb = &g.data()[bi * f * osp..(bi + 1) * f * osp];
+            kernels::gemm(
+                &mut dcols,
+                false,
+                conv.w.value.data(),
+                true,
+                gb,
+                false,
+                taps,
+                f,
+                osp,
+            );
+            let dxb = &mut want[bi * vol..(bi + 1) * vol];
+            kernels::col2im3d(&dcols, c, t, h, w, kt, k, st, s, ot, oh, ow, dxb);
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(dx.data()), bits(&want));
+    }
 
     mod conv2d {
         use super::*;
@@ -338,6 +415,21 @@ mod tests {
             let x = Tensor::randn(&[2, 2, 7, 7], 1.0, &mut rng);
             gradcheck::check_input_grad(&mut conv, &x, 3e-2);
             gradcheck::check_param_grads(&mut conv, &x, 3e-2);
+        }
+
+        #[test]
+        fn backward_params_matches_backward() {
+            let x = Tensor::randn(&[3, 2, 9, 9], 1.0, &mut rng_from_seed(8));
+            gradcheck::check_backward_params(|| Conv2D::new(2, 4, 3, 2, &mut rng_from_seed(9)), &x);
+        }
+
+        #[test]
+        fn dx_is_bit_identical_to_transposed_operand_gemm() {
+            // 315 taps: several row blocks of the dx GEMM and a ragged tail.
+            let mut rng = rng_from_seed(10);
+            let conv = Conv2D::new(35, 24, 3, 1, &mut rng);
+            let x = Tensor::randn(&[2, 35, 7, 7], 1.0, &mut rng);
+            dx_matches_transposed_operand_gemm(conv, &x);
         }
 
         #[test]
@@ -406,6 +498,23 @@ mod tests {
             let x = Tensor::randn(&[2, 1, 3, 4, 4], 1.0, &mut rng);
             gradcheck::check_input_grad(&mut conv, &x, 4e-2);
             gradcheck::check_param_grads(&mut conv, &x, 4e-2);
+        }
+
+        #[test]
+        fn backward_params_matches_backward() {
+            let x = Tensor::randn(&[2, 2, 4, 9, 9], 1.0, &mut rng_from_seed(5));
+            gradcheck::check_backward_params(
+                || Conv3D::new(2, 3, 2, 3, 1, 2, &mut rng_from_seed(6)),
+                &x,
+            );
+        }
+
+        #[test]
+        fn dx_is_bit_identical_to_transposed_operand_gemm() {
+            let mut rng = rng_from_seed(7);
+            let conv = Conv3D::new(3, 8, 2, 3, 1, 2, &mut rng);
+            let x = Tensor::randn(&[2, 3, 4, 9, 9], 1.0, &mut rng);
+            dx_matches_transposed_operand_gemm(conv, &x);
         }
 
         #[test]

@@ -3,10 +3,11 @@
 //! Each layer owns its parameters and their gradient accumulators, caches
 //! whatever it needs during `forward`, and implements an explicit `backward`
 //! that (a) accumulates parameter gradients and (b) returns the gradient
-//! with respect to its input. There is no tape/autograd: the model graphs in
-//! this reproduction are small and static, and explicit backward passes keep
-//! the hot loops allocation-light and easy to validate with finite
-//! differences.
+//! with respect to its input. `backward_params` does (a) alone, for the
+//! network's first layer, whose input gradient nothing reads. There is no
+//! tape/autograd: the model graphs in this reproduction are small and
+//! static, and explicit backward passes keep the hot loops
+//! allocation-light and easy to validate with finite differences.
 
 mod batchnorm;
 mod conv;
@@ -53,6 +54,15 @@ pub trait Layer: Send {
     /// Backward pass for the most recent `forward`. Accumulates parameter
     /// gradients and returns dLoss/dInput.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
+
+    /// [`Layer::backward`] for a layer whose input gradient nobody reads
+    /// (the first layer of a network): accumulates exactly the same
+    /// parameter gradients, bit for bit, and returns nothing. Layers that
+    /// can skip the dLoss/dInput work override it; the default computes
+    /// and drops it.
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let _ = self.backward(grad_out);
+    }
 
     /// Mutable access to parameters (empty for stateless layers).
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -248,6 +258,32 @@ pub(crate) mod gradcheck {
             }
         }
         let _ = layer.forward(x, true);
+    }
+
+    /// Check that `backward_params` leaves exactly the parameter-gradient
+    /// bits `backward` does, on two layers built alike by `make`, over two
+    /// accumulating steps of loss = 0.5 * sum(out^2).
+    pub fn check_backward_params<L: Layer>(make: impl Fn() -> L, x: &Tensor) {
+        let (mut full, mut params_only) = (make(), make());
+        for _ in 0..2 {
+            let out = full.forward(x, true);
+            let _ = full.backward(&out);
+            let out = params_only.forward(x, true);
+            params_only.backward_params(&out);
+        }
+        let bits = |layer: &mut L| -> Vec<Vec<u32>> {
+            layer
+                .params_mut()
+                .iter()
+                .map(|p| p.grad.data().iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        let want = bits(&mut full);
+        assert!(
+            want.iter().flatten().any(|&b| b != 0),
+            "no gradient accumulated"
+        );
+        assert_eq!(bits(&mut params_only), want);
     }
 
     fn replay(layer: &mut dyn Layer, x: &Tensor) -> Tensor {

@@ -20,6 +20,14 @@ impl TimeDistributed {
             cache_bt: (0, 0),
         }
     }
+
+    /// `grad_out` `[B, T, ...]` of the last forward folded to `[B*T, ...]`.
+    fn merge_time(&self, grad_out: &Tensor) -> Tensor {
+        let (b, t) = self.cache_bt;
+        let mut merged = vec![b * t];
+        merged.extend_from_slice(&grad_out.shape()[2..]);
+        grad_out.reshape(&merged)
+    }
 }
 
 impl Layer for TimeDistributed {
@@ -37,12 +45,15 @@ impl Layer for TimeDistributed {
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let (b, t) = self.cache_bt;
-        let mut merged = vec![b * t];
-        merged.extend_from_slice(&grad_out.shape()[2..]);
-        let dx = self.inner.backward(&grad_out.reshape(&merged));
+        let dx = self.inner.backward(&self.merge_time(grad_out));
         let mut out_shape = vec![b, t];
         out_shape.extend_from_slice(&dx.shape()[1..]);
         dx.reshape(&out_shape)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let merged = self.merge_time(grad_out);
+        self.inner.backward_params(&merged);
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -67,7 +78,8 @@ impl Layer for TimeDistributed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{gradcheck, Dense};
+    use crate::layers::{gradcheck, Activation, ActivationLayer, Conv2D, Dense, Flatten};
+    use crate::sequential::Sequential;
     use autolearn_util::rng::rng_from_seed;
 
     #[test]
@@ -100,6 +112,22 @@ mod tests {
         let x = Tensor::randn(&[2, 3, 3], 1.0, &mut rng);
         gradcheck::check_input_grad(&mut td, &x, 2e-2);
         gradcheck::check_param_grads(&mut td, &x, 2e-2);
+    }
+
+    #[test]
+    fn backward_params_matches_backward() {
+        // A per-frame conv stack, the way the RNN model wraps its trunk.
+        let make = || {
+            let mut rng = rng_from_seed(4);
+            let frame = Sequential::new()
+                .push(Conv2D::new(1, 2, 3, 2, &mut rng))
+                .push(ActivationLayer::new(Activation::Relu))
+                .push(Flatten::new())
+                .push(Dense::new(2 * 3 * 3, 4, &mut rng));
+            TimeDistributed::new(Box::new(frame))
+        };
+        let x = Tensor::randn(&[2, 3, 1, 7, 7], 1.0, &mut rng_from_seed(5));
+        gradcheck::check_backward_params(make, &x);
     }
 
     #[test]

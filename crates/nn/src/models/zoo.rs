@@ -161,7 +161,9 @@ impl CarModel {
         }
     }
 
-    /// Backward from a feature-gradient through merge + trunk.
+    /// Backward from a feature-gradient through merge + trunk. Nothing
+    /// reads the gradient with respect to the input frames, so the trunk
+    /// runs `backward_params` and its first layer skips computing it.
     fn backward_features(&mut self, d_feat: &Tensor) {
         let d_trunk_out = match &mut self.merge {
             Some(merge) => {
@@ -171,7 +173,7 @@ impl CarModel {
             }
             None => d_feat.clone(),
         };
-        let _ = self.trunk.backward(&d_trunk_out);
+        self.trunk.backward_params(&d_trunk_out);
     }
 
     fn all_params(&mut self) -> Vec<&mut crate::layers::Param> {
@@ -882,6 +884,37 @@ mod tests {
             );
             assert_eq!(state_hash(&mut model), hash, "{kind}: weights");
         }
+    }
+
+    #[test]
+    fn zoo_training_is_pinned_bit_for_bit() {
+        // Three Adam steps (dropout on) from a fixed seed must land on
+        // exactly these weights: any change to the backward passes, the
+        // GEMM summation order or the optimizer shows up here.
+        let pinned = [
+            (ModelKind::Linear, 0x71a2_df3a_41b1_facd),
+            (ModelKind::Memory, 0x0683_3a7f_9bb3_e867),
+            (ModelKind::ThreeD, 0x6c40_f094_2699_d2fb),
+            (ModelKind::Categorical, 0xf050_e9f2_ac8d_952a),
+            (ModelKind::Inferred, 0xecbb_e591_806c_51b7),
+            (ModelKind::Rnn, 0x6f18_8500_886a_ae36),
+        ];
+        let cfg = ModelConfig {
+            dropout: 0.1,
+            seed: 7,
+            ..small_cfg()
+        };
+        let raw = synthetic_dataset(24, &cfg);
+        let trained = pinned.map(|(kind, _)| {
+            let mut model = CarModel::build(kind, &cfg);
+            let data = prepare_dataset(&raw, model.input_spec());
+            let mut opt = Adam::new(1e-3);
+            for b in data.batches(8, true, 3) {
+                model.train_batch(&b, &mut opt);
+            }
+            (kind, state_hash(&mut model))
+        });
+        assert_eq!(trained, pinned, "trained weights differ");
     }
 
     #[test]

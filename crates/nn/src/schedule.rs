@@ -16,7 +16,8 @@ pub enum LrSchedule {
     /// Cosine annealing from the base rate down to `floor` x base.
     Cosine { floor: f32 },
     /// Halve the rate after `patience` epochs without val improvement
-    /// (Keras' ReduceLROnPlateau with factor 0.5).
+    /// (Keras' ReduceLROnPlateau with factor 0.5). A NaN validation loss
+    /// (no validation examples) holds the rate.
     ReduceOnPlateau { patience: usize },
 }
 
@@ -65,7 +66,7 @@ impl LrScheduler {
                 if last_val_loss < self.best_val {
                     self.best_val = last_val_loss;
                     self.since_best = 0;
-                } else {
+                } else if !last_val_loss.is_nan() {
                     self.since_best += 1;
                     if self.since_best > patience {
                         self.plateau_factor *= 0.5;
@@ -128,6 +129,10 @@ mod tests {
         assert_eq!(s.lr_for_epoch(4, 10, 0.95), 0.5);
         // Improvement resets the counter but keeps the reduced rate.
         assert_eq!(s.lr_for_epoch(5, 10, 0.5), 0.5);
+        // No validation loss is no stall: the rate holds.
+        for epoch in 6..10 {
+            assert_eq!(s.lr_for_epoch(epoch, 10, f32::NAN), 0.5);
+        }
     }
 
     #[test]

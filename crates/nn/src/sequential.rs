@@ -161,6 +161,20 @@ impl Layer for Sequential {
         cur
     }
 
+    /// The same reverse pass as [`Layer::backward`], except that the first
+    /// layer is reached through its `backward_params`, so the chain's input
+    /// gradient is never computed.
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        let mut cur: Option<Tensor> = None;
+        for layer in rest.iter_mut().rev() {
+            cur = Some(layer.backward(cur.as_ref().unwrap_or(grad_out)));
+        }
+        first.backward_params(cur.as_ref().unwrap_or(grad_out));
+    }
+
     fn params_mut(&mut self) -> Vec<&mut Param> {
         self.layers
             .iter_mut()
@@ -213,6 +227,12 @@ mod tests {
         let x = Tensor::randn(&[2, 1, 7, 7], 0.5, &mut rng);
         gradcheck::check_input_grad(&mut net, &x, 5e-2);
         gradcheck::check_param_grads(&mut net, &x, 5e-2);
+    }
+
+    #[test]
+    fn backward_params_matches_backward() {
+        let x = Tensor::randn(&[2, 1, 7, 7], 0.5, &mut rng_from_seed(10));
+        gradcheck::check_backward_params(|| tiny_convnet(&mut rng_from_seed(11)), &x);
     }
 
     #[test]

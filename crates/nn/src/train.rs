@@ -19,7 +19,8 @@ pub struct TrainConfig {
     pub batch_size: usize,
     pub learning_rate: f32,
     /// Stop after this many epochs without validation improvement
-    /// (DonkeyCar default 5). `None` disables early stopping.
+    /// (DonkeyCar default 5). `None` disables early stopping, and so does
+    /// a run without validation examples (`train_frac = 1.0`).
     pub patience: Option<usize>,
     /// Fraction of data used for training (rest validates).
     pub train_frac: f64,
@@ -47,6 +48,7 @@ impl Default for TrainConfig {
 pub struct EpochStats {
     pub epoch: usize,
     pub train_loss: f32,
+    /// NaN when the run has no validation examples.
     pub val_loss: f32,
 }
 
@@ -54,7 +56,11 @@ pub struct EpochStats {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TrainReport {
     pub history: Vec<EpochStats>,
+    /// Lowest per-epoch validation loss; NaN when the run has no
+    /// validation examples.
     pub best_val_loss: f32,
+    /// Epoch of `best_val_loss`, or the last epoch without validation
+    /// examples.
     pub best_epoch: usize,
     pub epochs_ran: usize,
     pub stopped_early: bool,
@@ -142,8 +148,13 @@ impl Trainer {
         }
         let fit_span = obs.as_deref_mut().map(|o| o.begin_span("fit"));
         let cfg = &self.config;
+        // Without validation examples nothing measures generalisation: each
+        // epoch records a NaN validation loss, the last epoch counts as the
+        // best, and early stopping stays off (as Keras does when its
+        // monitored metric is missing).
+        let validating = !val.1.is_empty();
         let mut history = Vec::new();
-        let mut best_val = f32::INFINITY;
+        let mut best_val = if validating { f32::INFINITY } else { f32::NAN };
         let mut best_epoch = 0usize;
         let mut since_best = 0usize;
         let mut examples_seen = 0u64;
@@ -163,7 +174,11 @@ impl Trainer {
             }
             train_loss /= batches.max(1) as f32; // cast: batch count, exact in f32
 
-            let val_loss = evaluate_on(model, val, cfg.batch_size);
+            let val_loss = if validating {
+                evaluate_on(model, val, cfg.batch_size)
+            } else {
+                f32::NAN
+            };
             last_val = val_loss;
             history.push(EpochStats {
                 epoch,
@@ -180,11 +195,15 @@ impl Trainer {
                     ],
                 );
                 o.observe_with("nn.epoch_train_loss", LOSS_BUCKETS, f64::from(train_loss));
-                o.observe_with("nn.epoch_val_loss", LOSS_BUCKETS, f64::from(val_loss));
+                if validating {
+                    o.observe_with("nn.epoch_val_loss", LOSS_BUCKETS, f64::from(val_loss));
+                }
                 o.gauge_max("nn.scratch_peak_bytes", model.scratch_bytes() as f64);
             }
 
-            if val_loss < best_val {
+            if !validating {
+                best_epoch = epoch;
+            } else if val_loss < best_val {
                 best_val = val_loss;
                 best_epoch = epoch;
                 since_best = 0;
@@ -209,7 +228,9 @@ impl Trainer {
             }
             o.counter_add("nn.examples_seen", examples_seen);
             o.gauge_max("nn.scratch_peak_bytes", scratch_peak_bytes as f64);
-            o.gauge_set("nn.best_val_loss", f64::from(best_val));
+            if validating {
+                o.gauge_set("nn.best_val_loss", f64::from(best_val));
+            }
             if let Some(span) = fit_span {
                 o.span_attr(span, "epochs_ran", AttrValue::Int(history.len() as i64));
                 o.span_attr(span, "examples_seen", AttrValue::UInt(examples_seen));
@@ -323,6 +344,32 @@ mod tests {
         assert!(report.best_val_loss > 0.0, "{}", report.best_val_loss);
         // One example trains per epoch; the other validates.
         assert_eq!(report.examples_seen, 2);
+    }
+
+    #[test]
+    fn no_validation_set_never_stops_early_or_claims_a_val_loss() {
+        let mut model = CarModel::build(ModelKind::Linear, &cfg());
+        let data = prepare_dataset(&dataset(40), model.input_spec());
+        let trainer = Trainer::new(TrainConfig {
+            epochs: 20,
+            batch_size: 8,
+            patience: Some(5),
+            train_frac: 1.0,
+            ..Default::default()
+        });
+        let report = trainer.fit(&mut model, &data).expect("graph validates");
+        assert_eq!(report.epochs_ran, 20);
+        assert!(!report.stopped_early);
+        assert_eq!(report.examples_seen, 40 * 20, "every example trains");
+        assert!(report.best_val_loss.is_nan(), "{}", report.best_val_loss);
+        assert_eq!(
+            report.best_epoch, 19,
+            "the weights kept are the last epoch's"
+        );
+        for e in &report.history {
+            assert!(e.val_loss.is_nan(), "{e:?}");
+            assert!(e.train_loss.is_finite(), "{e:?}");
+        }
     }
 
     #[test]
