@@ -13,10 +13,13 @@
 //! `--smoke` runs one fast iteration at shrunken shapes and writes no
 //! file; it exists so `scripts/ci.sh` can prove the harness itself still
 //! runs without paying the full measurement cost. `--check <snapshot>`
-//! re-measures at the committed shapes and fails (exit 1) if the
-//! aggregate optimized time regressed more than 5% against the snapshot —
-//! the gate that keeps instrumentation (and everything else) off the
-//! kernel hot paths.
+//! re-measures at the committed shapes, writes nothing, and fails (exit 1)
+//! if the optimized kernels regressed more than 5% against the snapshot,
+//! each timed relative to its reference kernel in the same run so the
+//! gate does not move with the host's load — the gate that keeps
+//! instrumentation (and everything else) off the kernel hot paths. Only
+//! the bare invocation writes the snapshot; any argument other than
+//! `--smoke`, `--check [path]` or `--help` prints usage and exits 2.
 
 use autolearn_nn::kernels::{self, reference};
 use autolearn_nn::layers::{Conv2D, Conv3D, Layer};
@@ -251,48 +254,85 @@ fn render_json(results: &[CaseResult], batch: usize, h: usize, w: usize, iters: 
     s
 }
 
-/// Sum of the `"optimized_ns": N` fields in a snapshot JSON. Hand-parsed
-/// (the snapshot is our own fixed format) so the bench binary stays free
-/// of JSON dependencies.
-fn snapshot_optimized_total(json: &str) -> Option<u64> {
-    let mut total = 0u64;
-    let mut seen = false;
-    for chunk in json.split("\"optimized_ns\":").skip(1) {
-        let digits: String = chunk
-            .trim_start()
-            .chars()
-            .take_while(|c| c.is_ascii_digit())
-            .collect();
-        total += digits.parse::<u64>().ok()?;
-        seen = true;
-    }
-    seen.then_some(total)
+/// One case as the snapshot recorded it.
+#[derive(Debug, Clone, PartialEq)]
+struct SnapshotCase {
+    name: String,
+    optimized_ns: u64,
+    reference_ns: u64,
 }
 
-/// Regression tolerance for `--check`: aggregate optimized ns may not
-/// exceed the snapshot by more than this factor.
+/// The cases of a snapshot JSON, in order. Hand-parsed (the snapshot is our
+/// own fixed format, one case per line) so the bench binary stays free of
+/// JSON dependencies.
+fn parse_snapshot(json: &str) -> Option<Vec<SnapshotCase>> {
+    fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+        let rest = &line[line.find(&format!("\"{key}\":"))? + key.len() + 3..];
+        let rest = rest.trim_start();
+        Some(match rest.strip_prefix('"') {
+            Some(quoted) => &quoted[..quoted.find('"')?],
+            None => &rest[..rest.find(|c: char| !c.is_ascii_digit())?],
+        })
+    }
+    let cases: Vec<SnapshotCase> = json
+        .lines()
+        .filter(|line| line.contains("\"name\":"))
+        .map(|line| {
+            Some(SnapshotCase {
+                name: field(line, "name")?.to_string(),
+                optimized_ns: field(line, "optimized_ns")?.parse().ok()?,
+                reference_ns: field(line, "reference_ns")?.parse().ok()?,
+            })
+        })
+        .collect::<Option<_>>()?;
+    (!cases.is_empty()).then_some(cases)
+}
+
+/// Regression tolerance for `--check`: the measured optimized/reference
+/// ratio may not exceed the snapshot's by more than this factor.
 const CHECK_TOLERANCE: f64 = 1.05;
 
-fn run_check(results: &[CaseResult], snapshot_path: &str) -> i32 {
-    let json = match std::fs::read_to_string(snapshot_path) {
-        Ok(s) => s,
+/// The gate's figure: each case's optimized/reference time ratio measured
+/// in this run, over the ratio the snapshot recorded, averaged with the
+/// snapshot's optimized times as weights (so the long cases count most, as
+/// they did when the gate summed optimized nanoseconds). The naive
+/// reference kernels are unchanged oracles, so host speed and load from
+/// other work cancel out of each ratio, while a slower optimized kernel
+/// still raises it. Every snapshot case must have been measured.
+fn relative_ratio(results: &[CaseResult], snapshot: &[SnapshotCase]) -> Result<f64, String> {
+    let (mut measured, mut recorded) = (0.0, 0.0);
+    for case in snapshot {
+        let r = results
+            .iter()
+            .find(|r| r.name == case.name)
+            .ok_or_else(|| format!("snapshot case {} was not measured", case.name))?;
+        if r.reference_ns == 0 || case.reference_ns == 0 {
+            return Err(format!("case {} has a zero reference time", case.name));
+        }
+        let weight = case.reference_ns as f64;
+        measured += weight * (r.optimized_ns as f64 / r.reference_ns as f64);
+        recorded += case.optimized_ns as f64;
+    }
+    Ok(measured / recorded)
+}
+
+fn run_check(results: &[CaseResult], snapshot: &[SnapshotCase], snapshot_path: &str) -> i32 {
+    let ratio = match relative_ratio(results, snapshot) {
+        Ok(ratio) => ratio,
         Err(e) => {
-            println!("kernel_bench: cannot read snapshot {snapshot_path}: {e}");
+            println!("kernel_bench: {snapshot_path}: {e}");
             return 1;
         }
     };
-    let Some(baseline) = snapshot_optimized_total(&json) else {
-        println!("kernel_bench: snapshot {snapshot_path} has no optimized_ns fields");
-        return 1;
-    };
-    let measured: u64 = results.iter().map(|r| r.optimized_ns).sum();
-    let ratio = measured as f64 / baseline as f64;
     println!(
-        "kernel_bench: check vs {snapshot_path}: measured {measured} ns, \
-         snapshot {baseline} ns, ratio {ratio:.3} (limit {CHECK_TOLERANCE:.2})"
+        "kernel_bench: check vs {snapshot_path}: optimized/reference ratios at \
+         {ratio:.3} of the snapshot's (limit {CHECK_TOLERANCE:.2})"
     );
     if ratio > CHECK_TOLERANCE {
-        println!("kernel_bench: REGRESSION — optimized kernels are >5% slower than the snapshot");
+        println!(
+            "kernel_bench: REGRESSION — optimized kernels are >5% slower, \
+             relative to the reference kernels, than in the snapshot"
+        );
         1
     } else {
         println!("kernel_bench: within tolerance");
@@ -300,14 +340,66 @@ fn run_check(results: &[CaseResult], snapshot_path: &str) -> i32 {
     }
 }
 
+const USAGE: &str = "usage: kernel_bench [--smoke | --check [SNAPSHOT] | --help]
+  (no argument)      measure at the committed shapes and write BENCH_kernels.json
+  --smoke            one fast iteration at shrunken shapes; writes nothing
+  --check [SNAPSHOT] measure and compare with SNAPSHOT (default
+                     BENCH_kernels.json); writes nothing, exits 1 on a regression
+  --help             print this message";
+
+/// What one invocation does.
+#[derive(Debug, PartialEq)]
+enum Mode {
+    Write,
+    Smoke,
+    Check(String),
+    Help,
+}
+
+/// The mode the arguments (without the program name) ask for, or `None`
+/// for anything else, which must neither measure nor write.
+fn parse_args(args: &[String]) -> Option<Mode> {
+    match args {
+        [] => Some(Mode::Write),
+        [flag] if flag == "--smoke" => Some(Mode::Smoke),
+        [flag] if flag == "--help" => Some(Mode::Help),
+        [flag] if flag == "--check" => Some(Mode::Check("BENCH_kernels.json".into())),
+        [flag, path] if flag == "--check" && !path.starts_with('-') => {
+            Some(Mode::Check(path.clone()))
+        }
+        _ => None,
+    }
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let check_path = args.iter().position(|a| a == "--check").map(|i| {
-        args.get(i + 1)
-            .cloned()
-            .unwrap_or_else(|| "BENCH_kernels.json".into())
-    });
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Some(mode) = parse_args(&args) else {
+        eprintln!("kernel_bench: unexpected arguments {args:?}\n{USAGE}");
+        std::process::exit(2);
+    };
+    let snapshot = match &mode {
+        Mode::Help => {
+            println!("{USAGE}");
+            return;
+        }
+        // Read the snapshot before measuring, so a bad path fails at once.
+        Mode::Check(path) => {
+            let parsed = std::fs::read_to_string(path)
+                .map_err(|e| format!("cannot read snapshot {path}: {e}"))
+                .and_then(|json| {
+                    parse_snapshot(&json).ok_or_else(|| format!("snapshot {path} has no cases"))
+                });
+            match parsed {
+                Ok(cases) => Some(cases),
+                Err(e) => {
+                    println!("kernel_bench: {e}");
+                    std::process::exit(1);
+                }
+            }
+        }
+        Mode::Write | Mode::Smoke => None,
+    };
+    let smoke = mode == Mode::Smoke;
     // Full run: DonkeyCar camera at batch 32. Smoke: one iteration at a
     // shrunken frame so CI proves the harness without the measurement cost.
     let (iters, batch, h, w, t) = if smoke {
@@ -332,7 +424,7 @@ fn main() {
         results
     };
     let mut results = measure();
-    if check_path.is_some() {
+    if snapshot.is_some() {
         // The gate compares wall time, so one scheduler burst could fail a
         // healthy build: measure twice, keep each case's minimum.
         for (r, second) in results.iter_mut().zip(measure()) {
@@ -360,12 +452,133 @@ fn main() {
         return;
     }
 
-    if let Some(path) = check_path {
-        std::process::exit(run_check(&results, &path));
+    if let (Mode::Check(path), Some(cases)) = (&mode, &snapshot) {
+        std::process::exit(run_check(&results, cases, path));
     }
 
     let json = render_json(&results, batch, h, w, iters);
     let path = "BENCH_kernels.json";
     std::fs::write(path, json).expect("write BENCH_kernels.json");
     println!("kernel_bench: wrote {path}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn case(name: &'static str, optimized_ns: u64, reference_ns: u64) -> CaseResult {
+        CaseResult {
+            name,
+            optimized_ns,
+            reference_ns,
+        }
+    }
+
+    fn snapshot() -> Vec<SnapshotCase> {
+        parse_snapshot(include_str!("../../../../BENCH_kernels.json")).unwrap()
+    }
+
+    /// The snapshot's cases, every time scaled by `host` and the optimized
+    /// ones by `optimized` on top.
+    fn rerun(host: f64, optimized: f64) -> Vec<CaseResult> {
+        let names = [
+            "matmul_dense",
+            "conv2d_forward",
+            "conv2d_backward",
+            "conv3d_forward",
+            "conv3d_backward",
+        ];
+        snapshot()
+            .iter()
+            .zip(names)
+            .map(|(c, name)| {
+                assert_eq!(c.name, name);
+                let scale = |ns: u64, k: f64| (ns as f64 * k).round() as u64;
+                case(
+                    name,
+                    scale(c.optimized_ns, host * optimized),
+                    scale(c.reference_ns, host),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn parses_the_committed_snapshot() {
+        let cases = snapshot();
+        assert_eq!(cases.len(), 5);
+        assert_eq!(
+            cases[0],
+            SnapshotCase {
+                name: "matmul_dense".into(),
+                optimized_ns: 848566,
+                reference_ns: 2584446,
+            }
+        );
+        assert_eq!(parse_snapshot("{}"), None);
+        assert_eq!(
+            parse_snapshot(r#"{ "name": "x", "optimized_ns": 12 }"#),
+            None
+        );
+    }
+
+    #[test]
+    fn host_speed_cancels_out_of_the_gate() {
+        let cases = snapshot();
+        for host in [0.5, 1.0, 1.3, 2.0] {
+            let ratio = relative_ratio(&rerun(host, 1.0), &cases).unwrap();
+            assert!((ratio - 1.0).abs() < 1e-6, "host x{host}: ratio {ratio}");
+        }
+    }
+
+    #[test]
+    fn a_slower_optimized_path_fails_on_any_host() {
+        let cases = snapshot();
+        for host in [0.5, 1.0, 2.0] {
+            let slower = relative_ratio(&rerun(host, 1.08), &cases).unwrap();
+            assert!(slower > CHECK_TOLERANCE, "host x{host}: ratio {slower}");
+            assert_eq!(run_check(&rerun(host, 1.08), &cases, "snapshot"), 1);
+            assert_eq!(run_check(&rerun(host, 1.02), &cases, "snapshot"), 0);
+        }
+        // The longest case alone 30% slower fails too.
+        let mut one = rerun(1.0, 1.0);
+        one[4].optimized_ns = one[4].optimized_ns * 13 / 10;
+        assert!(relative_ratio(&one, &cases).unwrap() > CHECK_TOLERANCE);
+    }
+
+    #[test]
+    fn every_snapshot_case_must_be_measured() {
+        let mut results = rerun(1.0, 1.0);
+        results.pop();
+        assert!(relative_ratio(&results, &snapshot()).is_err());
+        assert_eq!(run_check(&results, &snapshot(), "snapshot"), 1);
+    }
+
+    #[test]
+    fn only_known_arguments_are_accepted() {
+        let parse =
+            |args: &[&str]| parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>());
+        assert_eq!(parse(&[]), Some(Mode::Write));
+        assert_eq!(parse(&["--smoke"]), Some(Mode::Smoke));
+        assert_eq!(parse(&["--help"]), Some(Mode::Help));
+        assert_eq!(
+            parse(&["--check"]),
+            Some(Mode::Check("BENCH_kernels.json".into()))
+        );
+        assert_eq!(
+            parse(&["--check", "snap.json"]),
+            Some(Mode::Check("snap.json".into()))
+        );
+        for bad in [
+            &["--chek"][..],
+            &["-h"],
+            &["check"],
+            &["--smoke", "--check"],
+            &["--check", "--smoke"],
+            &["--check", "a.json", "b.json"],
+            &["--help", "--smoke"],
+        ] {
+            assert_eq!(parse(bad), None, "{bad:?}");
+        }
+    }
 }

@@ -1,11 +1,13 @@
 //! The `Track` type: a closed centerline with width, arc-length sampling,
 //! fast point projection and surface classification.
 
+mod candidates;
 mod raster;
 
 use crate::geometry::{point_segment_dist_sq, Vec2};
 use crate::polyline::{cumulative_arclength, curvatures, resample_closed, signed_area, tangents};
 use crate::surface::Surface;
+use candidates::CandidateTable;
 use raster::SurfaceRaster;
 use serde::{de_field, Deserialize, Serialize};
 use std::sync::Arc;
@@ -54,10 +56,31 @@ pub struct TrackProjection {
     pub on_track: bool,
 }
 
+/// The nearest centerline segment `project` has seen so far.
+#[derive(Debug, Clone, Copy)]
+struct Nearest {
+    /// Squared distance from the point to the segment.
+    d2: f64,
+    /// Index of the segment's first sample.
+    seg: usize,
+    /// Fraction along the segment of its point closest to the point.
+    t: f64,
+}
+
+impl Nearest {
+    /// Before any candidate: segment 0's start, infinitely far.
+    const NONE: Nearest = Nearest {
+        d2: f64::INFINITY,
+        seg: 0,
+        t: 0.0,
+    };
+}
+
 /// A closed driving track.
 ///
-/// Serialises its geometry and spatial grid; the surface raster is derived
-/// state, rebuilt on deserialise and shared between clones.
+/// Serialises its geometry and spatial grid; the candidate table and the
+/// surface raster are derived state, rebuilt on deserialise and shared
+/// between clones.
 #[derive(Debug, Clone, Serialize)]
 pub struct Track {
     name: String,
@@ -79,6 +102,10 @@ pub struct Track {
     grid_cols: usize,
     grid_rows: usize,
     grid: Vec<Vec<u32>>,
+    // Each grid cell's ring-scan candidates without repeats, behind
+    // `project`.
+    #[serde(skip)]
+    candidates: Arc<CandidateTable>,
     // Certified surface class per grid sub-cell, behind `surface_at`.
     #[serde(skip)]
     raster: Arc<SurfaceRaster>,
@@ -102,6 +129,7 @@ impl Deserialize for Track {
             grid_cols: de_field(obj, "grid_cols")?,
             grid_rows: de_field(obj, "grid_rows")?,
             grid: de_field(obj, "grid")?,
+            candidates: Arc::default(),
             raster: Arc::default(),
         };
         // The raster's proof needs what the constructors guarantee:
@@ -126,7 +154,7 @@ impl Deserialize for Track {
         {
             return Err(serde::Error::new("inconsistent Track geometry"));
         }
-        track.raster = Arc::new(SurfaceRaster::build(&track));
+        track.build_derived();
         Ok(track)
     }
 }
@@ -188,11 +216,19 @@ impl Track {
             grid_cols: 0,
             grid_rows: 0,
             grid: Vec::new(),
+            candidates: Arc::default(),
             raster: Arc::default(),
         };
         track.build_grid();
-        track.raster = Arc::new(SurfaceRaster::build(&track));
+        track.build_derived();
         track
+    }
+
+    /// Build the candidate table from the grid, then the surface raster,
+    /// which reads the table.
+    fn build_derived(&mut self) {
+        self.candidates = Arc::new(CandidateTable::build(self));
+        self.raster = Arc::new(SurfaceRaster::build(self));
     }
 
     fn build_grid(&mut self) {
@@ -326,19 +362,31 @@ impl Track {
         self.offset_point(s, -self.half_width[i])
     }
 
-    /// Visit candidate sample indices near `p` from the spatial grid; see
-    /// [`Track::for_cell_candidates`]. Allocation-free: `project` is called
-    /// per camera pixel in mixed raster sub-cells.
-    fn for_candidates(&self, p: Vec2, f: impl FnMut(u32)) {
+    /// Visit candidate sample indices near `p`: the candidate table's slice
+    /// for a point in the grid box, else [`Track::for_cell_candidates`]'s
+    /// ring scan from the point's cell outside it. Either way the visits
+    /// are the ring scan's first visits, in order. Allocation-free:
+    /// `project` is called per camera pixel in mixed raster sub-cells.
+    fn for_candidates(&self, p: Vec2, mut f: impl FnMut(u32)) {
         let cx = ((p.x - self.grid_origin.x) / self.grid_cell).floor() as isize;
         let cy = ((p.y - self.grid_origin.y) / self.grid_cell).floor() as isize;
-        self.for_cell_candidates(cx, cy, f);
+        if cx >= 0 && cy >= 0 && (cx as usize) < self.grid_cols && (cy as usize) < self.grid_rows {
+            let cell = cy as usize * self.grid_cols + cx as usize;
+            for &ci in self.candidates.cell(cell) {
+                f(ci);
+            }
+        } else {
+            self.for_cell_candidates(cx, cy, f);
+        }
     }
 
     /// Visit the candidate sample indices of grid cell `(cx, cy)`, widening
     /// the search ring until non-empty, then scanning one extra ring so the
-    /// true nearest isn't missed just across a cell edge. The set depends
-    /// on the cell alone, which the surface raster's proof relies on.
+    /// true nearest isn't missed just across a cell edge. A sample is
+    /// visited once per cell of those rings it registered in. Built into
+    /// the candidate table for every cell of the grid, so for points in
+    /// the grid box the candidate set depends on the cell alone by
+    /// construction, which the surface raster's proof relies on.
     fn for_cell_candidates(&self, cx: isize, cy: isize, mut f: impl FnMut(u32)) {
         let max_ring = (self.grid_cols.max(self.grid_rows)) as isize;
 
@@ -350,8 +398,11 @@ impl Track {
                     if dx.abs() != ring && dy.abs() != ring {
                         continue;
                     }
-                    let gx = cx + dx;
-                    let gy = cy + dy;
+                    // A point at ±inf floors to cell isize::MAX or MIN; a
+                    // ring cell past either end is outside the grid.
+                    let (Some(gx), Some(gy)) = (cx.checked_add(dx), cy.checked_add(dy)) else {
+                        continue;
+                    };
                     if gx >= 0
                         && gy >= 0
                         && (gx as usize) < self.grid_cols
@@ -382,18 +433,28 @@ impl Track {
 
     /// Project `p` onto the track.
     pub fn project(&self, p: Vec2) -> TrackProjection {
+        let mut best = Nearest::NONE;
+        self.for_candidates(p, |ci| self.offer(p, ci, &mut best));
+        self.projection_onto(p, best)
+    }
+
+    /// Make segment `ci` the nearest to `p` if it is strictly nearer than
+    /// `best`, so of equally near segments the first visited wins.
+    #[inline]
+    fn offer(&self, p: Vec2, ci: u32, best: &mut Nearest) {
+        let i = ci as usize;
+        let j = if i + 1 == self.center.len() { 0 } else { i + 1 };
+        let (d2, t) = point_segment_dist_sq(p, self.center[i], self.center[j]);
+        if d2 < best.d2 {
+            *best = Nearest { d2, seg: i, t };
+        }
+    }
+
+    /// The projection of `p` onto the point at fraction `nearest.t` of
+    /// segment `nearest.seg`.
+    fn projection_onto(&self, p: Vec2, nearest: Nearest) -> TrackProjection {
         let n = self.center.len();
-        let mut best = (f64::INFINITY, 0usize, 0.0f64); // (dist_sq, seg index, t)
-        self.for_candidates(p, |ci| {
-            let i = ci as usize;
-            let a = self.center[i];
-            let b = self.center[(i + 1) % n];
-            let (d2, t) = point_segment_dist_sq(p, a, b);
-            if d2 < best.0 {
-                best = (d2, i, t);
-            }
-        });
-        let (_, i, t) = best;
+        let Nearest { seg: i, t, .. } = nearest;
         let j = (i + 1) % n;
         let a = self.center[i];
         let b = self.center[j];
@@ -506,7 +567,96 @@ impl Track {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::presets::{circle_track, paper_oval};
+    use crate::presets::{circle_track, paper_oval, waveshare_track};
+    use crate::procedural::{random_track, RandomTrackConfig};
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
+
+    /// The tracks the candidate table is checked on: both paper tracks, a
+    /// circle and three seeded random circuits, built once.
+    pub(super) fn table_tracks() -> &'static [Track] {
+        static TRACKS: OnceLock<Vec<Track>> = OnceLock::new();
+        TRACKS.get_or_init(|| {
+            let mut tracks = vec![paper_oval(), waveshare_track(), circle_track(3.0, 0.8)];
+            tracks.extend((1..=3).map(|seed| random_track(seed, &RandomTrackConfig::default())));
+            tracks
+        })
+    }
+
+    /// `project` without the candidate table: every visit of the ring scan
+    /// from the point's grid cell, repeats included, in ring order.
+    fn project_by_ring_scan(t: &Track, p: Vec2) -> TrackProjection {
+        let cx = ((p.x - t.grid_origin.x) / t.grid_cell).floor() as isize;
+        let cy = ((p.y - t.grid_origin.y) / t.grid_cell).floor() as isize;
+        let mut best = Nearest::NONE;
+        t.for_cell_candidates(cx, cy, |ci| t.offer(p, ci, &mut best));
+        t.projection_onto(p, best)
+    }
+
+    /// `project(p)` and the ring-scan oracle agree in every bit.
+    fn assert_same_projection(t: &Track, p: Vec2) {
+        let (a, b) = (t.project(p), project_by_ring_scan(t, p));
+        let bits = |q: &TrackProjection| [q.s, q.lateral, q.heading, q.curvature].map(f64::to_bits);
+        assert_eq!(bits(&a), bits(&b), "{} at {p:?}", t.name());
+        assert_eq!(a.on_track, b.on_track, "{} at {p:?}", t.name());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Over the grid box, a band around it and well beyond it.
+        #[test]
+        fn project_matches_ring_scan_bit_for_bit(
+            which in 0usize..6,
+            near in prop::collection::vec((-0.2f64..1.2, -0.2f64..1.2), 256),
+            far in prop::collection::vec((-20.0f64..20.0, -20.0f64..20.0), 16),
+        ) {
+            let t = &table_tracks()[which];
+            let size = Vec2::new(t.grid_cols as f64, t.grid_rows as f64) * t.grid_cell;
+            for (fx, fy) in near.into_iter().chain(far) {
+                let p = Vec2::new(t.grid_origin.x + fx * size.x, t.grid_origin.y + fy * size.y);
+                assert_same_projection(t, p);
+            }
+        }
+    }
+
+    /// At every centerline sample and on the normals through it, two
+    /// segments meet at the same distance or nearly so: where the visit
+    /// order could pick a different winner.
+    #[test]
+    fn project_matches_ring_scan_at_segment_joints() {
+        for t in table_tracks() {
+            for (&c, &tangent) in t.center.iter().zip(&t.tangent) {
+                for k in [0.0, 0.2, -0.2, 0.45, -0.45, 1.5, -1.5] {
+                    assert_same_projection(t, c + tangent.perp() * k);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn project_matches_ring_scan_at_non_finite_and_extreme_points() {
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        for t in table_tracks() {
+            let corner = t.grid_origin;
+            for p in [
+                Vec2::new(nan, 0.0),
+                Vec2::new(0.0, nan),
+                Vec2::new(nan, nan),
+                Vec2::new(inf, 0.0),
+                Vec2::new(-inf, 0.0),
+                Vec2::new(0.0, inf),
+                Vec2::new(0.0, -inf),
+                Vec2::new(inf, -inf),
+                Vec2::new(1e12, -1e12),
+                corner,
+                corner - Vec2::new(1e-12, 0.0),
+                corner + Vec2::new(t.grid_cols as f64 * t.grid_cell, 0.0),
+            ] {
+                assert_same_projection(t, p);
+            }
+        }
+    }
 
     #[test]
     fn circle_track_basic_queries() {
@@ -648,6 +798,10 @@ mod tests {
         // The raster is not serialised but rebuilt, never left empty.
         assert!(!json.contains("raster"));
         assert_eq!(*back.raster, SurfaceRaster::build(&back));
+        // So is the candidate table, identical to the original's.
+        assert!(!json.contains("candidates"));
+        assert_eq!(*back.candidates, CandidateTable::build(&back));
+        assert_eq!(back.candidates, t.candidates);
         assert_eq!(back.raster.lookup(0, 0.5, 0.5), Some(Surface::Off));
     }
 

@@ -7,11 +7,12 @@
 //! classifier. Every other code is certified, not sampled, so `surface_at`
 //! equals `surface_at_exact` at every point:
 //!
-//! * `for_candidates` depends on the grid cell alone, so every point `p` of
-//!   a cell projects onto one candidate set S. `surface_at_exact` compares
-//!   `|lateral|`, which is the distance `d(p)` from `p` to the nearest
-//!   segment of S up to rounding, with one `half_width` entry. `d` is
-//!   1-Lipschitz.
+//! * `project` scans one slice of the track's candidate table for every
+//!   point `p` of a grid cell, and the raster reads the cell's candidate
+//!   set S from the same slice. (Their order decides only `project`'s
+//!   ties, not the bounds below.) `surface_at_exact` compares `|lateral|`,
+//!   which is the distance `d(p)` from `p` to the nearest segment of S up
+//!   to rounding, with one `half_width` entry. `d` is 1-Lipschitz.
 //! * A quadtree node with centre `c` and half-diagonal `r` (plus [`EPS`])
 //!   therefore has `d(p)` in `[d(c) - r, d(c) + r]` for all its points.
 //!   Only segments within `d(c) + 2r` of `c` can be nearest to one of
@@ -25,7 +26,8 @@
 //!
 //! Sub-cells share the grid's origin and their size is a power-of-two
 //! fraction of the grid cell, so the sub-cell `surface_at` reads is a
-//! fixed-point split of the same floored quotient `for_candidates` uses.
+//! fixed-point split of the same floored quotient `for_candidates` uses to
+//! pick the cell's slice.
 //! DESIGN.md §4 ("Render cost") gives the argument in full.
 
 use super::{Track, TAPE_WIDTH};
@@ -136,19 +138,15 @@ impl SurfaceRaster {
             keep: Default::default(),
             d2: Vec::new(),
         };
-        let mut cands = Vec::new();
         for cy in 0..track.grid_rows {
             for cx in 0..track.grid_cols {
-                cands.clear();
-                track.for_cell_candidates(cx as isize, cy as isize, |ci| cands.push(ci));
-                cands.sort_unstable();
-                cands.dedup();
+                let cands = track.candidates.cell(cy * track.grid_cols + cx);
                 quad.corner = Vec2::new(
                     track.grid_origin.x + cx as f64 * track.grid_cell,
                     track.grid_origin.y + cy as f64 * track.grid_cell,
                 );
                 quad.tile = [0; TILE];
-                quad.fill(0, 0, 0, &cands);
+                quad.fill(0, 0, 0, cands);
                 let first = (quad.tile[0] & 3) as u8;
                 let uniform = quad
                     .tile

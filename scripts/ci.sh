@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The full local CI gate: formatting, release builds (libraries and binaries,
 # then every target), the complete workspace test suite, the benchmark build
-# check, the fleet and train_zoo smokes, and the static-analysis gate —
+# check, the fleet, train_zoo and drive_hires smokes, and the static-analysis
+# gate —
 # everything a change must pass before merging.
 #
 #   scripts/ci.sh
@@ -60,6 +61,16 @@ echo "== ci: train_zoo benchmark smoke =="
 python3 perfbench/run.py --workload train_zoo --seed 1 --seconds 2 --trace 1 || status=$?
 
 echo
+echo "== ci: drive_hires benchmark smoke =="
+# A short 160x120 RGB session on paper_oval: recorded and autonomous driving
+# with the full camera, traced. It exits 0 only when every recorded frame
+# is stored at full size, the autonomous pilot stays on track (autonomy
+# >= 0.6), and a traced rerun of the autonomous session ends on the same
+# tick count and autonomy bits (drive_hires.replay_matches). The traced run
+# also times the render and track probes.
+python3 perfbench/run.py --workload drive_hires --seed 1 --seconds 2 --trace 1 || status=$?
+
+echo
 echo "== ci: static-analysis gate =="
 scripts/analyze.sh || status=$?
 
@@ -77,9 +88,10 @@ scripts/trace.sh || status=$?
 
 echo
 echo "== ci: kernel regression gate =="
-# Re-measures the optimized kernels at the committed shapes and fails if
-# the aggregate is >5% slower than BENCH_kernels.json — keeps telemetry
-# (and everything else) off the numeric hot paths.
+# Re-measures the optimized kernels at the committed shapes and fails if,
+# timed against the reference kernels of the same run, they are >5% slower
+# than in BENCH_kernels.json — keeps telemetry (and everything else) off
+# the numeric hot paths without failing on a busy host.
 cargo build --release -q -p autolearn-bench --bin kernel_bench || status=$?
 ./target/release/kernel_bench --check BENCH_kernels.json || status=$?
 
